@@ -12,11 +12,13 @@ the instance; this package spends that proof as a *partitioner*:
   :class:`~repro.coloring.regions.UpdateRegion`;
 * :mod:`repro.store.sharding.service` — :class:`ShardedStore`, the
   front-end over one coordinator plus ``N`` shard stores, each
-  optionally a persistent worker process;
+  optionally a persistent worker process, with one per-shard cursor
+  advance that brings any shard up to date;
 * :mod:`repro.store.sharding.supervisor` — :class:`ShardSupervisor`,
   the self-healing ladder: worker-death detection, epoch-fenced
-  restarts with per-shard WAL recovery and tail catch-up, and the
-  degrade-to-inline fallback past the restart budget.
+  restarts through the store's shared bring-up (per-shard WAL
+  recovery, then the cursor advance), and the degrade-to-inline
+  fallback past the restart budget.
 """
 
 from repro.store.sharding.partition import (
@@ -38,7 +40,6 @@ from repro.store.sharding.service import (
     ProcessShard,
     ShardBackend,
     ShardedStore,
-    database_delta,
 )
 from repro.store.sharding.supervisor import ShardSupervisor
 
@@ -56,7 +57,6 @@ __all__ = [
     "ShardingError",
     "StaleEpochError",
     "WorkerDied",
-    "database_delta",
     "merge_changes",
     "stable_shard_hash",
 ]

@@ -22,8 +22,21 @@ Batches flow through :meth:`ShardedStore.apply_batch`:
   replay / semantic tiers), its WAL record being the durable decision;
   the committed delta is then split by ownership and *staged* to every
   shard (partitioned rows to their owners, replicated deltas to all).
-  Staging is idempotent redo — deltas re-normalize against each
-  shard's head — so a failed shard is healed by :meth:`resync_shard`.
+
+**One path brings a shard up to date.**  The coordinator log is the
+authoritative state machine and each shard holds its own position in
+it: a per-shard *cursor*, the coordinator version the shard is known
+to reflect, or unknown.  Every caller that moves shards forward — the
+cross-shard route, :meth:`~ShardedStore.commit_transaction`,
+:meth:`~ShardedStore.stage_version`, :meth:`~ShardedStore.resync_shard`,
+the disjoint route before it applies on a lagging shard, and the
+bring-up shared by :meth:`~ShardedStore.from_wal_dir` and supervisor
+restarts — goes through one advance.  A known cursor stages the
+shard's slice of each missing version in commit order (paper Thm 6.5 /
+Lemma 6.7 make that replay safe); an unknown one gets the verifying
+dump-diff against the head slice; a shard already at or past the
+target is skipped, so staging never walks a shard backwards.  A shard
+whose staging fails drops to unknown, which the next advance heals.
 
 Execution modes: ``inline`` backends run in-process (useful for tests
 and as the degraded fallback), ``process`` backends each own a
@@ -32,9 +45,9 @@ receivers and deltas crossing as pickles.  Dispatch is
 send-to-all-then-collect, so shard work overlaps without any parent
 threads.
 
-**Self-healing** (this layer's fault story, paper Thm 5.12/6.5).  The
-coordinator log is the authoritative state machine; shards are
-replicas that must be *fencible* and *catch-up-able*:
+**Self-healing** (this layer's fault story, paper Thm 5.12/6.5).
+Shards are replicas of the coordinator log that must be *fencible*
+and *catch-up-able*:
 
 * Every fenced pipe command (``apply`` / ``stage`` / ``mark`` /
   ``checkpoint``) carries the shard's monotone **epoch**; a backend
@@ -46,16 +59,15 @@ replicas that must be *fencible* and *catch-up-able*:
 * A worker death surfaces as :class:`WorkerDied`; the
   :class:`~repro.store.sharding.supervisor.ShardSupervisor` restarts
   the process under the shared :class:`RetryPolicy` + a per-shard
-  breaker, recovers the shard's own WAL, **catches up by staging only
-  the missing tail** of coordinator deltas (order-independence makes
-  the tail replay safe in any certified-disjoint order), and re-issues
-  the in-flight command under the bumped epoch.  Past the restart
-  budget the shard *degrades* to a coordinator-side
-  :class:`InlineShard` so batches keep succeeding; a later breaker
-  probe promotes it back to a real worker.
-* :meth:`from_wal_dir` no longer deletes shard logs: each shard
-  recovers its own WAL and tail-catches-up, falling back to the full
-  re-slice only on divergence (dirty marker) or an unrecoverable log.
+  breaker and **brings it up**: the shard recovers its own WAL, whose
+  marker seeds the cursor, and the advance stages only the missing
+  tail of coordinator deltas; then the in-flight command is re-issued
+  under the bumped epoch.  Past the restart budget the shard
+  *degrades* to a coordinator-side :class:`InlineShard` so batches
+  keep succeeding; a later breaker probe promotes it back to a real
+  worker.
+* :meth:`from_wal_dir` brings every shard up the same way; the full
+  re-slice survives only for a missing or unrecoverable shard log.
 
 **Fleet telemetry** (process mode).  Every request crosses the pipe as
 ``(command, ctx)`` where ``ctx`` is ``None`` or a trace context
@@ -92,7 +104,6 @@ from repro.objrel.mapping import database_to_instance, instance_to_database
 from repro.obs import flight
 from repro.obs import tracer as trace
 from repro.obs.metrics import global_registry
-from repro.relational.database import Database
 from repro.relational.delta import RelationDelta
 from repro.resilience.faults import (
     SHARD_STAGE_FENCE,
@@ -109,7 +120,10 @@ from repro.store.sharding.partition import (
     merge_changes,
 )
 from repro.store.sharding.router import Route, Router
-from repro.store.sharding.supervisor import ShardSupervisor
+from repro.store.sharding.supervisor import (
+    _RESTART_FAILURES,
+    ShardSupervisor,
+)
 from repro.store.versioned import (
     MethodApplication,
     StoreError,
@@ -118,21 +132,6 @@ from repro.store.versioned import (
 )
 from repro.store.txn import run_transaction
 from repro.store.wal import KIND_COMMIT, KIND_SHARD_META, WalError
-
-
-def database_delta(
-    current: Database, target: Database
-) -> Dict[str, RelationDelta]:
-    """The change set taking ``current`` to ``target``, per relation."""
-    changes: Dict[str, RelationDelta] = {}
-    for name in target.relation_names:
-        have = current.relation(name).tuples
-        want = target.relation(name).tuples
-        if have != want:
-            changes[name] = RelationDelta(
-                frozenset(want - have), frozenset(have - want)
-            )
-    return changes
 
 
 def _delta_rows(changes: Mapping[str, RelationDelta]) -> int:
@@ -641,7 +640,7 @@ class ShardedStore:
         restart_policy: Optional[RetryPolicy] = None,
         restart_breaker_reset: float = 0.25,
         _coordinator: Optional[VersionedStore] = None,
-        _recover_shards: bool = False,
+        _bring_up_shards: bool = False,
     ) -> None:
         if mode not in ("inline", "process"):
             raise ShardingError(f"unknown execution mode {mode!r}")
@@ -664,11 +663,11 @@ class ShardedStore:
             )
         )
         self._lock = threading.Lock()
-        # The highest coordinator version every shard reflects.  One
-        # scalar suffices: staging is strictly in commit order, and a
-        # disjoint commit leaves untouched shards' slices of its delta
-        # empty by construction.
-        self._staged_version = self.coordinator.head.version
+        # Per shard: the coordinator version it is known to reflect, or
+        # None (unknown — the next advance dump-diffs it).
+        self._cursors: List[Optional[int]] = [
+            self.coordinator.head.version
+        ] * shards
         self.supervisor = ShardSupervisor(
             self,
             enabled=supervised,
@@ -678,18 +677,17 @@ class ShardedStore:
         self.recovery_report: Dict[int, Dict[str, Any]] = {}
         self._shards: List[Any] = []
         for k in range(shards):
-            if _recover_shards:
-                handle, report = self._recover_shard(k)
-                self.recovery_report[k] = report
-                self._shards.append(handle)
-            else:
-                self._shards.append(
-                    self._spawn_shard(
-                        k,
-                        self.partitioning.slice_instance(instance, k),
-                        epoch=0,
-                    )
+            if _bring_up_shards:
+                handle, mode_used, rows = self._bring_up(k)
+                flight.record(
+                    "shard.recovered", shard=k, mode=mode_used, rows=rows
                 )
+                self.recovery_report[k] = {"mode": mode_used, "rows": rows}
+            else:
+                handle = self._spawn_shard(
+                    k, self.partitioning.slice_instance(instance, k)
+                )
+            self._shards.append(handle)
 
     # -- construction helpers ------------------------------------------
     def _wal_path(self, name: str) -> Optional[str]:
@@ -701,12 +699,12 @@ class ShardedStore:
         self,
         shard: int,
         instance: Optional[Instance],
-        epoch: int,
         recover: bool = False,
         applied: int = 0,
     ):
         wal = self._wal_path(f"shard-{shard}")
         schema = self.partitioning.schema if recover else None
+        epoch = self.supervisor.epoch(shard)
         if self.mode == "process":
             flight_path = (
                 os.path.join(self.wal_dir, f"flight-shard-{shard}.json")
@@ -743,6 +741,8 @@ class ShardedStore:
         caught up by construction), no WAL — the on-disk log keeps the
         dead worker's last state for the eventual real restart to
         recover and tail-catch-up from."""
+        head = self.coordinator.head.version
+        self._cursors[shard] = head
         return InlineShard(
             ShardBackend(
                 shard,
@@ -750,7 +750,7 @@ class ShardedStore:
                 wal=None,
                 durability=self.durability,
                 epoch=epoch,
-                applied=self.coordinator.head.version,
+                applied=head,
             )
         )
 
@@ -767,48 +767,68 @@ class ShardedStore:
             self._head_instance(), shard
         )
 
-    def _recover_shard(self, shard: int) -> Tuple[Any, Dict[str, Any]]:
-        """Bring one shard up from its own WAL (tail catch-up) or,
-        failing that, from a fresh slice of the recovered head."""
+    def _bring_up(self, shard: int) -> Tuple[Any, str, Optional[int]]:
+        """Start a backend for ``shard`` and advance it to the head.
+
+        Shared by :meth:`from_wal_dir` and the supervisor's restart.
+        The backend recovers the shard's own WAL; its marker seeds the
+        cursor (a dirty marker, or an ``applied`` claim past the head,
+        leaves it unknown) and :meth:`_advance` stages only what is
+        missing.  A missing or unrecoverable log falls back to a fresh
+        slice of the head.  The new handle is used directly — never
+        through the supervisor — so a heal in progress cannot recurse
+        into another heal.  Returns ``(handle, mode, rows)``; on
+        failure the handle is reaped and the error re-raises.
+        """
         wal = self._wal_path(f"shard-{shard}")
+        head = self.coordinator.head.version
+        registry = global_registry()
         handle = None
         status = None
         if wal is not None and os.path.exists(wal):
             try:
-                handle = self._spawn_shard(
-                    shard, None, epoch=0, recover=True
-                )
+                handle = self._spawn_shard(shard, None, recover=True)
                 status = handle.call(("status",))
                 if not status.get("recovered"):
                     raise ShardingError(
                         f"shard {shard} log did not recover"
                     )
-            except ShardingError:
+            except _RESTART_FAILURES:
                 if handle is not None:
                     self.supervisor.reap(handle)
-                handle, status = None, None
-        if handle is None or status is None:
-            # Full re-slice: the log is gone or unrecoverable.  Drop
-            # the stale file so the fresh store seeds a clean one.
+                status = None
+        if status is None:
+            # Full re-slice: drop the stale log so the fresh store
+            # seeds a clean one.
             if wal is not None and os.path.exists(wal):
                 os.remove(wal)
             handle = self._spawn_shard(
-                shard,
-                self._slice_of_head(shard),
-                epoch=0,
-                applied=self.coordinator.head.version,
+                shard, self._slice_of_head(shard), applied=head
             )
-            global_registry().counter("store.shard.resyncs.full").inc()
-            flight.record("shard.recovered", shard=shard, mode="full")
-            return handle, {"mode": "full", "rows": None}
+            try:
+                handle.call(("status",))
+            except BaseException:
+                self.supervisor.reap(handle)
+                raise
+            self._cursors[shard] = head
+            registry.counter("store.shard.resyncs.full").inc()
+            return handle, "full", None
         self.supervisor.adopt(shard, int(status.get("epoch", 0)))
-        mode, rows = self._catch_up_locked(
-            shard, handle, self.supervisor.epoch(shard), status=status
+        applied = int(status.get("applied", 0))
+        self._cursors[shard] = (
+            applied
+            if not status.get("dirty") and applied <= head
+            else None
         )
-        flight.record(
-            "shard.recovered", shard=shard, mode=mode, rows=rows
-        )
-        return handle, {"mode": mode, "rows": rows}
+        try:
+            mode, rows = self._advance([shard], head, handle=handle)
+        except BaseException:
+            self.supervisor.reap(handle)
+            raise
+        if mode == "tail":
+            registry.counter("store.shard.resyncs.tail").inc()
+            registry.counter("store.shard.catchup_rows").inc(rows)
+        return handle, mode, rows
 
     @classmethod
     def from_wal_dir(
@@ -825,13 +845,13 @@ class ShardedStore:
         *theirs*.
 
         The coordinator log is the authoritative history (versions
-        resume from the recovered head, not from zero).  Shard logs are
-        no longer deleted: each shard replays its own checkpoint+tail,
-        then **catches up by staging only the coordinator deltas past
-        its ``applied`` marker** — the order-independence theorems make
-        that tail replay safe.  The full re-slice survives only as the
-        fallback for a divergent (dirty) or unrecoverable shard log.
-        Per-shard outcomes land in :attr:`recovery_report` as
+        resume from the recovered head, not from zero).  Each shard is
+        brought up from its own checkpoint+tail and then advanced by
+        staging only the coordinator deltas past its ``applied``
+        marker — the order-independence theorems make that tail replay
+        safe.  A dirty marker gets the verifying dump-diff, and a
+        missing or unrecoverable log the full re-slice.  Per-shard
+        outcomes land in :attr:`recovery_report` as
         ``{shard: {"mode": "tail" | "full", "rows": ...}}``.
         """
         path = os.path.join(wal_dir, "coordinator.wal")
@@ -853,7 +873,7 @@ class ShardedStore:
             durability=durability,
             supervised=supervised,
             _coordinator=coordinator,
-            _recover_shards=True,
+            _bring_up_shards=True,
         )
 
     # -- the batch entry point -----------------------------------------
@@ -899,7 +919,9 @@ class ShardedStore:
         as the logical history entry.  Each shard's local evaluation
         agrees with the global one restricted to its sub-batch because
         the route certified that every relation the method reads is
-        replicated (bit-identical on all shards).
+        replicated (bit-identical on all shards) — provided the shard
+        reflects the head, so a touched shard whose cursor lags (or is
+        unknown) is advanced first.
 
         A shard dying mid-batch is healed by the supervisor (restart →
         WAL recovery → catch-up → redo of this sub-batch under the new
@@ -907,20 +929,27 @@ class ShardedStore:
         whose last commit was an unconfirmed apply is dirty and gets
         dump-diffed back to the coordinator head first.
         """
-        registry = global_registry()
         touched = sorted(route.sub_batches)
+        head = self.coordinator.head.version
+        behind = [s for s in touched if self._cursors[s] != head]
+        if behind:
+            self._advance(behind, head)
         commands = {
             shard: (
                 lambda s=shard: (
                     "apply",
                     self.supervisor.epoch(s),
-                    self._staged_version,
+                    head,
                     method,
                     route.sub_batches[s],
                 )
             )
             for shard in touched
         }
+        for shard in touched:
+            # Until the coordinator publishes, a shard that applied is
+            # ahead of it by an unpublished sub-batch.
+            self._cursors[shard] = None
         try:
             parts_map = self.supervisor.broadcast(
                 commands,
@@ -928,22 +957,35 @@ class ShardedStore:
                 span_attrs=lambda s: {
                     "receivers": len(route.sub_batches[s])
                 },
-                on_reply=lambda s, payload: registry.counter(
-                    "store.shard.sub_batches"
-                ).inc(),
+            )
+            global_registry().counter("store.shard.sub_batches").inc(
+                len(touched)
+            )
+            merged = merge_changes(parts_map[s] for s in touched)
+            version = self.coordinator.commit_changes(
+                merged,
+                operations=[MethodApplication(method, tuple(receivers))],
             )
         except Exception:
-            # Shards that committed their sub-batch are now ahead of a
-            # coordinator that will never publish it; pull them back.
+            # The batch never published: unknown cursors make the
+            # advance dump-diff the touched shards back to the head
+            # (a heal mid-broadcast may have set one before its redo).
             for shard in touched:
-                self._try_resync_locked(shard)
+                self._cursors[shard] = None
+            try:
+                self._advance(touched, self.coordinator.head.version)
+            except Exception as exc:
+                flight.record(
+                    "store.resync_failure",
+                    shards=touched,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
             raise
-        merged = merge_changes(parts_map[s] for s in touched)
-        version = self.coordinator.commit_changes(
-            merged,
-            operations=[MethodApplication(method, tuple(receivers))],
-        )
-        self._staged_version = version.version
+        for shard, cursor in enumerate(self._cursors):
+            # An untouched shard's slice of a disjoint commit is empty
+            # by construction.
+            if shard in route.sub_batches or cursor == head:
+                self._cursors[shard] = version.version
         return version
 
     def _apply_cross_shard(self, method, receivers, route: Route) -> Version:
@@ -951,110 +993,28 @@ class ShardedStore:
 
         The coordinator transaction runs the full commit-tier
         escalation; its WAL append is the durable decision record.
-        Propagation to shards is idempotent redo — every delta
-        re-normalizes against the shard head, so replaying after a
-        partial failure (or a resync) converges instead of corrupting.
+        Propagation to shards is the cursor advance: in commit order,
+        and a shard it fails to reach is left unknown for the next
+        advance to heal.
         """
         _, version = run_transaction(
             self.coordinator,
             lambda txn: txn.apply_method(method, receivers),
         )
-        self._stage_pending(version.version)
+        self._advance(range(self.shards), version.version)
         return version
-
-    def _stage_down(self, version: Version) -> None:
-        """Redo one committed coordinator version onto the shard fleet.
-
-        Caller holds :attr:`_lock` and guarantees every earlier version
-        is already staged.  Idempotent: deltas re-normalize against
-        each shard's head, so replaying after a partial failure
-        converges.  Shards whose slice of the delta is empty get a
-        cheap ``mark`` so their ``applied`` marker (and dirty bit) stay
-        tight for recovery.
-        """
-        per_shard, replicated = self.partitioning.split_changes(
-            version.changes
-        )
-        commands = {}
-        for shard_obj in self._shards:
-            shard = shard_obj.shard
-            payload = dict(replicated)
-            payload.update(per_shard.get(shard, {}))
-            if payload:
-                commands[shard] = (
-                    lambda s=shard, p=payload: (
-                        "stage",
-                        self.supervisor.epoch(s),
-                        version.version,
-                        p,
-                    )
-                )
-            else:
-                commands[shard] = (
-                    lambda s=shard: (
-                        "mark",
-                        self.supervisor.epoch(s),
-                        version.version,
-                    )
-                )
-        self.supervisor.broadcast(
-            commands, span_name="store.shard.stage"
-        )
-
-    def _stage_pending(self, through: int) -> None:
-        """Stage every committed-but-unstaged version up to ``through``.
-
-        Caller holds :attr:`_lock`.  Strictly in commit order — the
-        monotone :attr:`_staged_version` cursor is what makes staging
-        atomic under interleaving: a writer that finds earlier versions
-        unstaged stages them first, and one that finds its own version
-        already staged does nothing, so deltas can never walk a shard
-        backwards.  A pruned gap (no full :class:`Version` chain) falls
-        back to dump-diff resyncs against the head.
-        """
-        if through <= self._staged_version:
-            return
-        chain: Optional[List[Version]] = []
-        expected = self._staged_version + 1
-        for entry in self.coordinator.versions_after(self._staged_version):
-            if entry.version > through:
-                break
-            if not isinstance(entry, Version) or entry.version != expected:
-                chain = None
-                break
-            chain.append(entry)
-            expected += 1
-        if chain is None or expected != through + 1:
-            for shard in range(self.shards):
-                self._resync_shard_locked(shard, mode="full")
-            self._staged_version = self.coordinator.head.version
-            return
-        for entry in chain:
-            if entry.changes:
-                self._stage_down(entry)
-            self._staged_version = entry.version
 
     def stage_version(self, version: Version) -> None:
         """Propagate a version committed *directly on the coordinator*.
 
-        The escape hatch for writers that bypass :meth:`apply_batch` —
-        the network front end's explicit transactions commit on the
-        coordinator store (full commit-tier escalation, authoritative
-        WAL record) and then call this to redo the committed change set
-        onto every shard, exactly as the cross-shard route does.
-
-        Atomic under interleaving: the lock is held for the whole redo,
-        and staging goes through the monotone :meth:`_stage_pending`
-        cursor — if a concurrent writer already staged a *later*
-        version, this call is a no-op (the cursor passed ``version`` on
-        the way, staging it in order); if *earlier* versions are still
-        unstaged, they are staged first.  Older deltas therefore never
-        replay after newer ones, which is what used to let two
-        interleaved commit-then-stage writers walk the shards
-        backwards.
+        The escape hatch for writers that bypass :meth:`apply_batch`:
+        advances every shard to ``version`` under the lock.  Shards
+        already at or past it are skipped and earlier unstaged versions
+        are staged first, so interleaved commit-then-stage writers can
+        never walk a shard backwards.
         """
         with self._lock:
-            self._stage_pending(version.version)
+            self._advance(range(self.shards), version.version)
 
     def commit_transaction(self, txn) -> Tuple[Version, bool]:
         """Commit a coordinator transaction and stage it onto the fleet.
@@ -1062,82 +1022,178 @@ class ShardedStore:
         The store lock is held across the coordinator commit *and* the
         shard staging — exactly as :meth:`apply_batch` holds it across
         the cross-shard route — so no concurrent batch can publish and
-        stage a later version in between (which would let the older
-        deltas re-add tuples the newer version removed).
+        stage a later version in between.
 
         Returns ``(version, staged)``.  ``staged`` is ``False`` only
         when the commit durably published on the coordinator but shard
-        redo failed *and* the automatic resync could not heal every
+        redo failed *and* the automatic heal could not reach every
         shard; callers should surface that as a degraded (but
         committed) outcome, never as a failed commit.
         """
         with self._lock:
             version = txn.commit()
             staged = True
-            if version.changes:
+            try:
+                self._advance(range(self.shards), version.version)
+            except Exception as exc:
+                global_registry().counter(
+                    "store.shard.stage_failures"
+                ).inc()
+                flight.record(
+                    "store.stage_failure",
+                    version=version.version,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+                # The commit is durable; verify every shard against the
+                # head rather than leave any stale.  Every shard gets
+                # the dump-diff even if an earlier one fails.
+                self._cursors[:] = [None] * self.shards
                 try:
-                    self._stage_pending(version.version)
+                    self._advance(
+                        range(self.shards), self.coordinator.head.version
+                    )
                 except Exception as exc:
-                    global_registry().counter(
-                        "store.shard.stage_failures"
-                    ).inc()
                     flight.record(
-                        "store.stage_failure",
-                        version=version.version,
+                        "store.resync_failure",
                         error=f"{type(exc).__name__}: {exc}",
                     )
-                    # The commit is durable; heal the fleet from the
-                    # coordinator head rather than leaving shards
-                    # stale.  Every shard gets a resync attempt even
-                    # if an earlier one fails.
-                    staged = all(
-                        [
-                            self._try_resync_locked(shard)
-                            for shard in range(self.shards)
-                        ]
-                    )
-                    self._staged_version = (
-                        self.coordinator.head.version
-                    )
+                    staged = False
         return version, staged
 
-    # -- consistency and repair ----------------------------------------
-    def _coordinator_tail(
-        self, after: int, through: int
-    ) -> Optional[List[Tuple[int, Dict[str, RelationDelta]]]]:
-        """Coordinator change sets for versions in ``(after, through]``.
+    # -- bringing shards up to date ------------------------------------
+    def _advance(
+        self, shards: Iterable[int], target: int, handle=None
+    ) -> Tuple[str, int]:
+        """Move ``shards`` to coordinator version ``target``.
 
-        ``None`` when the contiguous chain is unavailable — pruned from
-        memory *and* not fully present in the coordinator WAL (e.g.
-        compacted away) — or when ``after`` claims to be ahead of
-        ``through`` (divergence; the caller must dump-diff).
+        The one path that brings a shard up to date; caller holds the
+        lock (or is constructing).  By each shard's cursor:
+
+        * **at or past** ``target`` — skipped;
+        * **known** — stage the shard's slice of each missing version in
+          commit order, one send-to-all-then-collect broadcast per
+          version, with a ``mark`` only when the last slice is empty;
+        * **unknown**, or versions no longer available — the verifying
+          dump-diff against the head slice.
+
+        Failures are contained: every shard is attempted, a failed
+        shard's cursor becomes unknown, and the first error re-raises
+        at the end.  ``handle`` (bring-up only) is the one shard's new
+        handle, called directly.  Returns ``(mode, rows)``: ``"full"``
+        when any shard took the dump-diff, and the rows shipped.
         """
-        if after == through:
-            return []
-        if after > through or after < 0:
-            return None
-        chain: Optional[List[Tuple[int, Dict[str, RelationDelta]]]] = []
-        expected = after + 1
-        for entry in self.coordinator.versions_after(after):
-            if entry.version > through:
-                break
-            # Summaries (pruned) and empty-changes roots (a store
-            # recovered with from_wal seeds one at the head version)
-            # do not carry the real delta; fall through to the log.
-            if (
-                not isinstance(entry, Version)
-                or entry.version != expected
-                or not entry.changes
-            ):
-                chain = None
-                break
-            chain.append((entry.version, dict(entry.changes)))
-            expected += 1
-        if chain is not None and expected == through + 1:
+        cursors = self._cursors
+        errors: List[Exception] = []
+
+        def send(number: int, slices: Dict[int, Dict[str, RelationDelta]]):
+            def command(shard: int) -> Tuple[Any, ...]:
+                epoch = self.supervisor.epoch(shard)
+                cursor = cursors[shard]
+                # A heal mid-advance may already have moved the shard
+                # past ``number``; the redo then only re-marks it.
+                if slices[shard] and (cursor is None or cursor < number):
+                    return ("stage", epoch, number, slices[shard])
+                return ("mark", epoch, number)
+
+            def landed(shard: int, _reply: Any) -> None:
+                cursor = cursors[shard]
+                cursors[shard] = (
+                    number if cursor is None else max(cursor, number)
+                )
+
+            for shard in slices:
+                cursors[shard] = None  # unknown until the reply lands
+            try:
+                if handle is None:
+                    self.supervisor.broadcast(
+                        {
+                            shard: (lambda s=shard: command(s))
+                            for shard in slices
+                        },
+                        span_name="store.shard.stage",
+                        on_reply=landed,
+                    )
+                else:
+                    for shard in slices:
+                        landed(shard, handle.call(command(shard)))
+            except Exception as exc:
+                errors.append(exc)
+
+        behind = [
+            s for s in shards if cursors[s] is None or cursors[s] < target
+        ]
+        known = [s for s in behind if cursors[s] is not None]
+        versions = (
+            self._versions_between(min(cursors[s] for s in known), target)
+            if known
+            else []
+        )
+        if versions is None:
+            known, versions = [], []
+        rows = 0
+        for number, changes in versions:
+            per_shard, replicated = self.partitioning.split_changes(changes)
+            slices = {}
+            for shard in known:
+                cursor = cursors[shard]
+                if cursor is None or cursor >= number:
+                    continue
+                payload = dict(replicated)
+                payload.update(per_shard.get(shard, {}))
+                if payload or number == target:
+                    slices[shard] = payload
+                    rows += _delta_rows(payload)
+            if slices:
+                send(number, slices)
+        head = self.coordinator.head.version
+        for shard in behind:
+            if shard in known:
+                continue
+            try:
+                target_db = instance_to_database(self._slice_of_head(shard))
+                current = (
+                    handle.call(("dump",))
+                    if handle is not None
+                    else self.supervisor.call(shard, lambda: ("dump",))
+                )
+            except Exception as exc:
+                errors.append(exc)
+                continue
+            delta = {}
+            for name in target_db.relation_names:
+                want = target_db.relation(name).tuples
+                have = current.get(name, frozenset())
+                if want != have:
+                    delta[name] = RelationDelta(want - have, have - want)
+            rows += _delta_rows(delta)
+            send(head, {shard: delta})
+            if cursors[shard] is not None:
+                global_registry().counter("store.shard.resyncs.full").inc()
+        if errors:
+            raise errors[0]
+        return ("tail" if len(known) == len(behind) else "full"), rows
+
+    def _versions_between(
+        self, after: int, through: int
+    ) -> Optional[List[Tuple[int, Mapping[str, RelationDelta]]]]:
+        """Coordinator change sets of versions ``after+1 .. through``, in
+        commit order: from the in-memory chain, else from the
+        coordinator WAL (a store recovered with ``from_wal`` keeps no
+        chain).  ``None`` when neither holds them all — pruned from
+        memory and compacted out of the log.
+        """
+        wanted = list(range(after + 1, through + 1))
+        chain = [
+            (entry.version, entry.changes)
+            for entry in self.coordinator.versions_after(after)
+            # Summaries (pruned) and a recovered store's empty-changes
+            # root do not carry the real delta.
+            if entry.version <= through
+            and isinstance(entry, Version)
+            and entry.changes
+        ]
+        if [number for number, _ in chain] == wanted:
             return chain
-        # In-memory history is pruned or absent (a store recovered
-        # with from_wal has no version chain); scan the authoritative
-        # log instead.
         path = self._wal_path("coordinator")
         if path is None or not os.path.exists(path):
             return None
@@ -1149,179 +1205,17 @@ class ShardedStore:
             except (OSError, ValueError):
                 return None
         records, _, _ = scan_wal(path)
-        commits: Dict[int, Dict[str, RelationDelta]] = {}
-        for record in records:
-            if (
-                record.kind == KIND_COMMIT
-                and after < record.version <= through
-            ):
-                commits[record.version] = record.changes
-        if set(commits) != set(range(after + 1, through + 1)):
-            return None
-        return [(v, commits[v]) for v in sorted(commits)]
-
-    def _stage_tail(
-        self,
-        shard: int,
-        tail: List[Tuple[int, Dict[str, RelationDelta]]],
-        handle,
-        epoch: int,
-    ) -> int:
-        """Stage a shard's slice of each tail version, in order; returns
-        rows shipped.  A trailing ``mark`` advances the applied marker
-        through versions whose slice was empty."""
-        rows = 0
-        last = None
-        for version_number, changes in tail:
-            per_shard, replicated = self.partitioning.split_changes(
-                changes
-            )
-            payload = dict(replicated)
-            payload.update(per_shard.get(shard, {}))
-            if payload:
-                rows += _delta_rows(payload)
-                handle.call(("stage", epoch, version_number, payload))
-            last = version_number
-        if last is not None:
-            handle.call(("mark", epoch, last))
-        global_registry().counter("store.shard.catchup_rows").inc(rows)
-        return rows
-
-    def _dump_diff(self, shard: int, handle, epoch: int) -> int:
-        """Full heal: diff the shard's dump against the head slice and
-        stage the difference; returns rows shipped."""
-        target = instance_slice_database(
-            self.partitioning, self.coordinator.head, shard
-        )
-        current = dict(handle.call(("dump",)))
-        delta = {
-            name: RelationDelta(
-                frozenset(target[name] - current.get(name, frozenset())),
-                frozenset(current.get(name, frozenset()) - target[name]),
-            )
-            for name in target
-            if target[name] != current.get(name, frozenset())
+        commits = {
+            record.version: record.changes
+            for record in records
+            if record.kind == KIND_COMMIT
+            and after < record.version <= through
         }
-        head_version = self.coordinator.head.version
-        if delta:
-            handle.call(("stage", epoch, head_version, delta))
-        else:
-            handle.call(("mark", epoch, head_version))
-        return _delta_rows(delta)
+        if sorted(commits) != wanted:
+            return None
+        return [(number, commits[number]) for number in wanted]
 
-    def _catch_up_locked(
-        self, shard: int, handle, epoch: int, status=None
-    ) -> Tuple[str, int]:
-        """Bring one (freshly restarted or recovered) shard to the
-        coordinator head; caller holds the lock (or is constructing).
-
-        Tail replay when the shard's marker is trustworthy (not dirty)
-        and the missing deltas are available; dump-diff otherwise.
-        Uses ``handle`` directly — never the supervisor — so a heal in
-        progress cannot recurse into another heal.
-        """
-        registry = global_registry()
-        if status is None:
-            status = handle.call(("status",))
-        head = self.coordinator.head
-        if not status.get("dirty"):
-            tail = self._coordinator_tail(
-                int(status.get("applied", -1)), head.version
-            )
-            if tail is not None:
-                rows = self._stage_tail(shard, tail, handle, epoch)
-                registry.counter("store.shard.resyncs.tail").inc()
-                return "tail", rows
-        rows = self._dump_diff(shard, handle, epoch)
-        registry.counter("store.shard.resyncs.full").inc()
-        return "full", rows
-
-    def catch_up_shard(self, shard: int) -> Dict[str, Any]:
-        """Bring one shard up to the coordinator head incrementally.
-
-        Returns ``{"mode": "tail" | "full", "rows": n}`` — ``tail``
-        staged only the deltas past the shard's ``applied`` marker;
-        ``full`` fell back to the dump-diff heal.
-        """
-        with self._lock:
-            mode, rows = self._catch_up_locked(
-                shard,
-                self._shards[shard],
-                self.supervisor.epoch(shard),
-            )
-            return {"mode": mode, "rows": rows}
-
-    def _try_resync_locked(self, shard: int) -> bool:
-        """Best-effort :meth:`resync_shard` body; caller holds the lock."""
-        try:
-            self._resync_shard_locked(shard)
-            return True
-        except Exception as exc:
-            flight.record(
-                "store.resync_failure",
-                shard=shard,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            return False
-
-    def _resync_shard_locked(self, shard: int, mode: str = "auto") -> str:
-        """Heal one shard from the coordinator head; caller holds the
-        lock.  Returns the mode used (``"tail"`` or ``"full"``)."""
-        if mode not in ("auto", "tail", "full"):
-            raise ShardingError(f"unknown resync mode {mode!r}")
-        registry = global_registry()
-        head = self.coordinator.head
-        if mode in ("auto", "tail"):
-            try:
-                status = self.supervisor.call(
-                    shard, lambda: ("status",)
-                )
-            except ShardingError:
-                status = None
-            # "auto" takes the tail only when lag *explains* the need
-            # to resync (marker clean and behind the head); a shard
-            # that claims to be current yet needs healing is corrupt
-            # in a way the marker cannot see, so it gets the
-            # verifying dump-diff.  A *demanded* tail still requires a
-            # clean marker: an unconfirmed local commit means the tail
-            # cannot be trusted to reconstruct the slice.
-            clean = status is not None and not status.get("dirty")
-            behind = clean and (
-                int(status.get("applied", -1)) < head.version
-            )
-            if behind or (mode == "tail" and clean):
-                tail = self._coordinator_tail(
-                    int(status.get("applied", -1)), head.version
-                )
-                if tail is not None:
-                    rows = self._stage_tail(
-                        shard,
-                        tail,
-                        self._shards[shard],
-                        self.supervisor.epoch(shard),
-                    )
-                    registry.counter("store.shard.resyncs").inc()
-                    registry.counter("store.shard.resyncs.tail").inc()
-                    flight.record(
-                        "shard.resync", shard=shard, mode="tail",
-                        rows=rows,
-                    )
-                    return "tail"
-            if mode == "tail":
-                raise ShardingError(
-                    f"shard {shard} tail resync unavailable "
-                    "(dirty marker, divergence, or pruned history)"
-                )
-        rows = self._dump_diff(
-            shard, self._shards[shard], self.supervisor.epoch(shard)
-        )
-        registry.counter("store.shard.resyncs").inc()
-        registry.counter("store.shard.resyncs.full").inc()
-        flight.record(
-            "shard.resync", shard=shard, mode="full", rows=rows
-        )
-        return "full"
-
+    # -- consistency and repair ----------------------------------------
     def resync_shard(self, shard: int, mode: str = "auto") -> str:
         """Heal one shard from the coordinator head (idempotent).
 
@@ -1330,8 +1224,50 @@ class ShardedStore:
         ``"auto"`` picks the tail only when the shard's recovery marker
         is clean and strictly behind the head.  Returns the mode used.
         """
+        if mode not in ("auto", "tail", "full"):
+            raise ShardingError(f"unknown resync mode {mode!r}")
+        registry = global_registry()
         with self._lock:
-            return self._resync_shard_locked(shard, mode=mode)
+            head = self.coordinator.head.version
+            cursor = None
+            if mode != "full":
+                try:
+                    status = self.supervisor.call(
+                        shard, lambda: ("status",)
+                    )
+                except ShardingError:
+                    status = None
+                clean = status is not None and not status.get("dirty")
+                applied = int(status.get("applied", 0)) if clean else 0
+                # "auto" takes the tail only when lag *explains* the
+                # need to resync (marker clean and behind the head); a
+                # shard that claims to be current yet needs healing is
+                # corrupt in a way the marker cannot see, so it gets
+                # the verifying dump-diff.  A *demanded* tail still
+                # requires a clean marker: an unconfirmed local commit
+                # means the tail cannot reconstruct the slice.
+                if (
+                    clean
+                    and applied <= head
+                    and (mode == "tail" or applied < head)
+                ):
+                    cursor = applied
+                if mode == "tail" and (
+                    cursor is None
+                    or self._versions_between(cursor, head) is None
+                ):
+                    raise ShardingError(
+                        f"shard {shard} tail resync unavailable "
+                        "(dirty marker, divergence, or pruned history)"
+                    )
+            self._cursors[shard] = cursor
+            used, rows = self._advance([shard], head)
+        registry.counter("store.shard.resyncs").inc()
+        if used == "tail":
+            registry.counter("store.shard.resyncs.tail").inc()
+            registry.counter("store.shard.catchup_rows").inc(rows)
+        flight.record("shard.resync", shard=shard, mode=used, rows=rows)
+        return used
 
     def heal(self, shard: Optional[int] = None) -> None:
         """Force a re-promotion probe of degraded shards (all by
@@ -1410,44 +1346,24 @@ class ShardedStore:
     def close(self) -> None:
         with self._lock:
             for shard_obj in self._shards:
-                # Final marker: a cleanly closed shard records that its
-                # state reflects everything staged, so the next open
-                # recovers with a clean (tail-capable) log.
-                try:
-                    shard_obj.call(
-                        (
-                            "mark",
-                            self.supervisor.epoch(shard_obj.shard),
-                            self._staged_version,
+                # Final marker: a shard whose cursor is known records
+                # that it reflects that version, so the next open
+                # recovers with a clean (tail-capable) log.  An unknown
+                # cursor leaves the shard's own marker to decide.
+                cursor = self._cursors[shard_obj.shard]
+                if cursor is not None:
+                    try:
+                        shard_obj.call(
+                            (
+                                "mark",
+                                self.supervisor.epoch(shard_obj.shard),
+                                cursor,
+                            )
                         )
-                    )
-                except Exception:
-                    pass
+                    except Exception:
+                        pass
                 shard_obj.close()
             self.coordinator.close()
-
-
-def instance_slice_database(
-    partitioning: Partitioning, head, shard: int
-) -> Dict[str, frozenset]:
-    """Shard ``shard``'s target relation rows, from a coordinator head.
-
-    Derived through :meth:`Partitioning.slice_instance` so the target
-    includes exactly the *borrowed* objects a fresh slice would — a
-    resynced shard is indistinguishable from a freshly built one.
-    """
-    instance = head.instance
-    if instance is None:
-        instance = database_to_instance(
-            head.database, partitioning.schema
-        )
-    sliced = instance_to_database(
-        partitioning.slice_instance(instance, shard)
-    )
-    return {
-        name: sliced.relation(name).tuples
-        for name in sliced.relation_names
-    }
 
 
 __all__ = [
@@ -1455,6 +1371,4 @@ __all__ = [
     "ProcessShard",
     "ShardBackend",
     "ShardedStore",
-    "database_delta",
-    "instance_slice_database",
 ]

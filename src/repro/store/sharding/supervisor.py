@@ -14,12 +14,14 @@ each rung engaged only when the one above fails:
    WAL under the shared full-jitter :class:`RetryPolicy`, gated by a
    per-shard :class:`CircuitBreaker` so a persistently crashing shard
    cannot stall every batch with futile forks;
-4. **catch up** — the recovered shard stages only the *tail* of
-   coordinator deltas past its ``applied`` marker
-   (:meth:`ShardedStore._catch_up_locked`); order-independence (paper
+4. **catch up** — the store's bring-up (:meth:`ShardedStore._bring_up`,
+   shared with ``from_wal_dir``) seeds the shard's cursor from its
+   recovered ``applied`` marker, and the cursor advance stages only
+   the *tail* of coordinator deltas past it; order-independence (paper
    Thm 5.12/6.5) is what makes replaying that tail safe;
-5. **full resync** — a dirty or unrecoverable log falls back to the
-   verifying dump-diff against the coordinator head;
+5. **full resync** — a dirty marker leaves the cursor unknown, so the
+   same advance runs the verifying dump-diff against the coordinator
+   head; an unrecoverable log is re-sliced from the head;
 6. **degrade** — past the restart budget the shard is served by a
    coordinator-side :class:`InlineShard` sliced from the head, so
    callers keep committing; the breaker's half-open probe (or
@@ -32,13 +34,14 @@ store is shared), so shard handles, epochs, and states never race.
 The in-flight command that detected the death is re-executed on the
 healed handle under the new epoch — exactly-once effects come from the
 recovery marker (an unconfirmed apply leaves the shard *dirty*, and a
-dirty shard is dump-diffed back to the head before the redo).
+dirty shard is dump-diffed back to the head before the redo) and from
+the cursor (a staging redo re-marks a shard the heal already moved
+past that version instead of re-staging it).
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import random
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -185,8 +188,10 @@ class ShardSupervisor:
         that died — at send or at receive — are healed and their
         command re-executed on the replacement handle; replies from the
         *other* shards are always drained first, so their pipes stay
-        request/reply aligned even when one shard fails hard.  Non-death
-        errors re-raise after the drain.
+        request/reply aligned even when one shard fails hard.
+        ``on_reply`` runs for every shard that replied, before the
+        first non-death error re-raises — so a caller learns which
+        shards a partly failed broadcast reached.
         """
         shards = sorted(commands)
         for shard in shards:
@@ -225,13 +230,17 @@ class ShardSupervisor:
             except Exception as exc:
                 errors.append(exc)
         for shard, exc in dead.items():
-            self.on_death(shard, exc)
-            results[shard] = self._redo(shard, commands[shard])
-        if errors:
-            raise errors[0]
+            try:
+                self.on_death(shard, exc)
+                results[shard] = self._redo(shard, commands[shard])
+            except Exception as failure:
+                errors.append(failure)
         if on_reply is not None:
             for shard in shards:
-                on_reply(shard, results[shard])
+                if shard in results:
+                    on_reply(shard, results[shard])
+        if errors:
+            raise errors[0]
         return results
 
     # -- the healing ladder --------------------------------------------
@@ -320,60 +329,18 @@ class ShardSupervisor:
             rows=rows,
         )
 
-    def _restart(self, shard: int) -> Tuple[str, int]:
-        """One restart attempt: fence, recover, catch up, install.
+    def _restart(self, shard: int) -> Tuple[str, Optional[int]]:
+        """One restart attempt: fence, then the store's bring-up.
 
-        Returns the catch-up outcome ``(mode, rows)``; raises one of
+        Returns the bring-up outcome ``(mode, rows)``; raises one of
         ``_RESTART_FAILURES`` when the attempt fails (replacement left
         reaped, epoch bump kept — monotonicity is what fences any
         half-started predecessor).
         """
         store = self.store
         self.reap(store._shards[shard])
-        new_epoch = self._epochs[shard] + 1
-        self._epochs[shard] = new_epoch
-        wal = store._wal_path(f"shard-{shard}")
-        handle = None
-        status = None
-        if wal is not None and os.path.exists(wal):
-            try:
-                handle = store._spawn_shard(
-                    shard, None, epoch=new_epoch, recover=True
-                )
-                status = handle.call(("status",))
-                if not status.get("recovered"):
-                    raise ShardingError(
-                        f"shard {shard} log did not recover"
-                    )
-            except _RESTART_FAILURES:
-                if handle is not None:
-                    self.reap(handle)
-                handle, status = None, None
-        if handle is None:
-            # Full re-slice from the coordinator head: drop the stale
-            # log so the fresh store seeds a clean one, and stamp
-            # ``applied`` so catch-up below is a no-op.
-            if wal is not None and os.path.exists(wal):
-                os.remove(wal)
-            handle = store._spawn_shard(
-                shard,
-                store._slice_of_head(shard),
-                epoch=new_epoch,
-                applied=store.coordinator.head.version,
-            )
-            try:
-                status = handle.call(("status",))
-            except _RESTART_FAILURES:
-                self.reap(handle)
-                raise
-            global_registry().counter("store.shard.resyncs.full").inc()
-        try:
-            mode, rows = store._catch_up_locked(
-                shard, handle, new_epoch, status=status
-            )
-        except BaseException:
-            self.reap(handle)
-            raise
+        self._epochs[shard] += 1
+        handle, mode, rows = store._bring_up(shard)
         store._shards[shard] = handle
         self._states[shard] = UP
         return mode, rows

@@ -25,6 +25,7 @@ from repro.objrel.mapping import instance_to_database
 from repro.relational.parser import parse_expression
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.budget import Budget, BudgetExceeded
+from repro.resilience.faults import SHARD_STAGE_FENCE, FaultPlan
 from repro.resilience.retry import RetryPolicy
 from repro.server import protocol
 from repro.server.admission import AdmissionController
@@ -653,10 +654,7 @@ def test_commit_reports_success_when_staging_fails(tmp_path):
         wal_dir=str(tmp_path / "fleet"),
     )
 
-    def broken(version):
-        raise RuntimeError("shard pipe broke")
-
-    store._stage_down = broken
+    plan = FaultPlan(seed=0).error_at(SHARD_STAGE_FENCE, at=0)
 
     async def scenario(server, client):
         await client.begin()
@@ -669,7 +667,9 @@ def test_commit_reports_success_when_staging_fails(tmp_path):
         assert after["rows"]
 
     try:
-        run_server_test(store, scenario)
+        with plan.installed():
+            run_server_test(store, scenario)
+        assert plan.firings
         expected = apply_sequence(
             scenario_b_method(), instance, receivers
         )
@@ -690,13 +690,9 @@ def test_commit_is_degraded_when_staging_and_resync_fail():
         n_employees=8, seed=5, shards=REPRO_SHARDS
     )
 
-    def broken(*args, **kwargs):
-        raise RuntimeError("fleet unreachable")
-
-    store._stage_down = broken
-    original_calls = [shard.call for shard in store._shards]
-    for shard in store._shards:
-        shard.call = broken
+    plan = FaultPlan(seed=0).error_at(
+        SHARD_STAGE_FENCE, probability=1.0, times=None
+    )
 
     async def scenario(server, client):
         await client.begin()
@@ -706,12 +702,11 @@ def test_commit_is_degraded_when_staging_and_resync_fail():
         assert committed["staging"] == "degraded"
 
     try:
-        run_server_test(store, scenario)
+        with plan.installed():
+            run_server_test(store, scenario)
+        assert plan.firings
         # The commit is durable on the coordinator; once the fleet is
         # reachable again, resync heals it.
-        del store._stage_down
-        for shard, call in zip(store._shards, original_calls):
-            shard.call = call
         for k in range(store.shards):
             store.resync_shard(k)
         store.verify_consistent()

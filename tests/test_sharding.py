@@ -29,6 +29,8 @@ from repro.relational.delta import RelationDelta
 from repro.resilience.faults import (
     SHARD_STAGE_FENCE,
     SHARD_WORKER,
+    WAL_APPEND,
+    FaultError,
     FaultPlan,
 )
 from repro.sqlsim.scenarios import (
@@ -41,6 +43,7 @@ from repro.store.sharding import (
     CROSS_SHARD,
     DISJOINT,
     Partitioning,
+    ProcessShard,
     Router,
     StaleEpochError,
     WorkerDied,
@@ -401,23 +404,118 @@ def test_commit_transaction_stages_atomically_and_heals():
         # Staging failure after the durable commit: the store heals
         # every shard from the coordinator head instead of leaving
         # the fleet silently stale.
-        def broken(v):
-            raise RuntimeError("shard pipe broke")
-
-        store._stage_down = broken
+        plan = FaultPlan(seed=0).error_at(SHARD_STAGE_FENCE, at=0)
         txn = store.coordinator.begin()
         txn.apply_method(method, second)
-        version, staged = store.commit_transaction(txn)
+        with plan.installed():
+            version, staged = store.commit_transaction(txn)
+        assert plan.firings
         assert version.version == 2
         assert staged, "resync should have healed every shard"
         store.verify_consistent()
-        del store._stage_down
 
         # An empty commit publishes nothing new: the head stays put
         # and the fleet stays consistent.
         txn = store.coordinator.begin()
         version, staged = store.commit_transaction(txn)
         assert staged and version.version == 2
+        store.verify_consistent()
+    finally:
+        store.close()
+
+
+RAISE_ON_SHARD_1 = [Receiver([Obj("Employee", 2), Obj("Money", 2000)])]
+
+
+def stage_to_shard_1_fails(wal_dir=None):
+    """A committed (B') raise whose staging to its owner, shard 1,
+    fails twice: once on the stage itself and once on the heal that
+    follows — so the commit reports ``staged=False``."""
+    instance, _ = sharded_company(n_employees=16, seed=4)
+    store = ShardedStore(instance, ["Employee"], shards=2, wal_dir=wal_dir)
+    assert store.partitioning.shard_of_receiver(RAISE_ON_SHARD_1[0]) == 1
+    plan = (
+        FaultPlan(seed=1)
+        .error_at(SHARD_STAGE_FENCE, at=1)
+        .error_at(SHARD_STAGE_FENCE, at=3)
+    )
+    txn = store.coordinator.begin()
+    txn.apply_method(scenario_b_method(), RAISE_ON_SHARD_1)
+    with plan.installed():
+        version, staged = store.commit_transaction(txn)
+    assert version.version == 1 and not staged
+    assert [firing.hit for firing in plan.firings] == [1, 3]
+    return instance, store
+
+
+def test_disjoint_batch_after_a_failed_stage_is_not_lost():
+    """A shard whose staging failed must not take a disjoint apply on
+    its stale slice: the write would be acknowledged, yet the merged
+    delta would miss the coordinator's state."""
+    method = scenario_b_method()
+    second = [Receiver([Obj("Employee", 2), Obj("Money", 2500)])]
+    instance, store = stage_to_shard_1_fails()
+    try:
+        _, route = store.apply_batch(method, second)
+        assert route.kind == DISJOINT
+        reference = unsharded_fold(
+            [(method, RAISE_ON_SHARD_1), (method, second)], instance
+        )
+        assert store.coordinator.head.database.fingerprints() == (
+            fingerprints(reference)
+        )
+        store.verify_consistent()
+    finally:
+        store.close()
+
+
+def test_close_does_not_stamp_an_unstaged_version(tmp_path):
+    """``close`` may mark a shard only with a version it is known to
+    reflect; otherwise the reopened fleet tail-replays nothing and
+    serves the stale slice."""
+    wal_dir = str(tmp_path / "fleet")
+    instance, store = stage_to_shard_1_fails(wal_dir)
+    store.close()
+    recovered = ShardedStore.from_wal_dir(
+        wal_dir, employee_object_schema(), ["Employee"], shards=2
+    )
+    try:
+        assert recovered.recovery_report[1]["mode"] == "tail"
+        assert recovered.recovery_report[1]["rows"] > 0
+        reference = unsharded_fold(
+            [(scenario_b_method(), RAISE_ON_SHARD_1)], instance
+        )
+        assert recovered.coordinator.head.database.fingerprints() == (
+            fingerprints(reference)
+        )
+        recovered.verify_consistent()
+    finally:
+        recovered.close()
+
+
+def test_failed_coordinator_commit_in_disjoint_route_heals_shards(tmp_path):
+    """Both shards commit their sub-batch, then the coordinator's
+    commit append fails: the batch is reported failed, so the shards
+    must be pulled back to the unchanged head."""
+    instance, receivers = sharded_company(n_employees=16, seed=4)
+    store = ShardedStore(
+        instance, ["Employee"], shards=2, wal_dir=str(tmp_path / "fleet")
+    )
+    batch = receivers[:6]
+    try:
+        route = store.router.route(scenario_b_method(), batch)
+        assert sorted(route.sub_batches) == [0, 1]
+        # Appends 0-3 are the two shard commits and their markers; 4
+        # is the coordinator's commit record.
+        plan = FaultPlan(seed=0).error_at(WAL_APPEND, at=4)
+        with plan.installed():
+            with pytest.raises(FaultError):
+                store.apply_batch(scenario_b_method(), batch)
+        assert plan.firings
+        assert store.coordinator.head.version == 0
+        assert store.coordinator.head.database.fingerprints() == (
+            fingerprints(instance)
+        )
         store.verify_consistent()
     finally:
         store.close()
@@ -757,8 +855,10 @@ def test_resync_mode_is_tail_for_clean_behind_shards(tmp_path):
         )
         assert counter_value("store.shard.catchup_rows") > rows_before
         store.verify_consistent()
-        # Already-at-head shards report an empty tail.
-        assert store.catch_up_shard(0) == {"mode": "tail", "rows": 0}
+        # An already-at-head shard takes an empty tail.
+        rows_before = counter_value("store.shard.catchup_rows")
+        assert store.resync_shard(0, mode="tail") == "tail"
+        assert counter_value("store.shard.catchup_rows") == rows_before
 
         # A disjoint apply leaves the touched shards dirty (their last
         # local commit is unconfirmed), so tail replay is off the table
@@ -818,6 +918,57 @@ def test_stage_version_interleaving_cannot_walk_shards_backwards():
         assert (emp, new) in merged
         assert (emp, mid) not in merged
         assert (emp, current) not in merged
+    finally:
+        store.close()
+
+
+@fork_only
+def test_redo_after_a_mid_advance_heal_does_not_restage(
+    tmp_path, monkeypatch
+):
+    """A worker that died is found on the first of several missing
+    versions and healed to the head by its bring-up; the redone command
+    then only re-marks it, and the later versions skip it — no older
+    delta is staged over the newer state."""
+    instance, receivers = sharded_company(n_employees=16, seed=5)
+    store = ShardedStore(
+        instance,
+        ["Employee"],
+        shards=2,
+        mode="process",
+        wal_dir=str(tmp_path / "fleet"),
+    )
+    method = scenario_b_method()
+    owned = [
+        r for r in receivers if store.partitioning.shard_of_receiver(r) == 0
+    ]
+    for receiver in owned[:3]:
+        txn = store.coordinator.begin()
+        txn.apply_method(method, [receiver])
+        txn.commit()
+    sent = []
+    send = ProcessShard.send
+
+    def recording(handle, command):
+        sent.append((handle.shard, command[0], command[2:3]))
+        send(handle, command)
+
+    monkeypatch.setattr(ProcessShard, "send", recording)
+    try:
+        victim = store._shards[0]._process
+        victim.kill()
+        victim.join(timeout=5.0)
+        store.stage_version(store.coordinator.head)
+        assert store.supervisor.restarts[0] == 1
+        # The stage of version 1 that found the dead worker, then the
+        # bring-up's tail.
+        stages = [
+            version
+            for shard, op, version in sent
+            if shard == 0 and op == "stage"
+        ]
+        assert stages == [(1,), (1,), (2,), (3,)]
+        store.verify_consistent()
     finally:
         store.close()
 
