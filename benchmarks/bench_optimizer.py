@@ -1,5 +1,5 @@
 """Ablation: naive evaluation vs the optimizing evaluator — and the
-optimizer-v2 series (stats feedback, plan cache, columnar tier).
+optimizer-v2 series (stats feedback, plan cache, fused Δ-regions).
 
 DESIGN.md calls out that the paper's "parallel is more efficient" claim
 presumes an optimizer.  This ablation quantifies it: the same ``par(E)``
@@ -12,9 +12,6 @@ The optimizer-v2 half measures the skewed-join battery
 * *plan quality* — per-join ``|log2(actual/estimated)|`` error before
   and after the :class:`StatsCatalog` has learned the correlated-
   predicate correction, plus the session's replan count;
-* *columnar gate* (``benchmark_acceptance``) — warm 10^5-row battery,
-  columnar tier on vs. off, asserting the >= 1.5x speedup and
-  bit-identical results;
 * *plan-cache gate* (``benchmark_acceptance``) — repeated workload
   re-planning hit rate >= 90% with zero replans;
 * *fused-delta gate* — the battery's delta steps keep
@@ -26,7 +23,7 @@ import math
 import pytest
 
 from benchmarks.conftest import company_instance_and_receivers, record_timing
-from benchmarks.harness import best_of, measure
+from benchmarks.harness import measure
 from repro.objrel.mapping import instance_to_database
 from repro.parallel.apply import rec_relation
 from repro.parallel.transform import REC, par_transform
@@ -82,7 +79,7 @@ def test_optimized_evaluation(benchmark, size):
 
 
 # ----------------------------------------------------------------------
-# Optimizer v2: stats feedback, plan cache, columnar tier
+# Optimizer v2: stats feedback, plan cache, fused Δ-regions
 # ----------------------------------------------------------------------
 def _estimate_error(observations, signature):
     """Mean ``|log2(actual/estimated)|`` of the recorded join
@@ -134,47 +131,6 @@ def test_plan_quality_feedback():
     assert warm_error <= cold_error + 1e-9, (
         f"correction did not improve the correlated-join estimate: "
         f"cold error {cold_error:.3f} bits, warm {warm_error:.3f} bits"
-    )
-
-
-@pytest.mark.benchmark_acceptance
-def test_columnar_vectorization_gate():
-    """Acceptance: the columnar tier is >= 1.5x faster than the tuple
-    path on the warm 10^5-row skewed battery, with identical results.
-
-    Warm means plans, encoded views, and the stats catalog are
-    populated; per measured pass the memoized *results* are dropped
-    (``forget_results``), so the executor — not the cache — is timed.
-    """
-    battery = skewed_join_battery(rows=100_000)
-
-    def warm_executor(columnar):
-        cache = EngineCache()
-        engine = QueryEngine(
-            battery.database, cache=cache, columnar=columnar
-        )
-        results = [engine.evaluate(q) for q in battery.queries]
-
-        def battery_pass():
-            cache.forget_results()
-            fresh = QueryEngine(
-                battery.database, cache=cache, columnar=columnar
-            )
-            for query in battery.queries:
-                fresh.evaluate(query)
-
-        return best_of(battery_pass, repetitions=3), results
-
-    on_seconds, on_results = warm_executor(True)
-    off_seconds, off_results = warm_executor(False)
-    record_timing("optimizer.columnar_on_1e5", on_seconds)
-    record_timing("optimizer.columnar_off_1e5", off_seconds)
-
-    assert on_results == off_results, "columnar tier changed results"
-    assert on_seconds * 1.5 <= off_seconds, (
-        f"columnar battery {on_seconds:.3f}s not 1.5x faster than "
-        f"tuple battery {off_seconds:.3f}s "
-        f"({off_seconds / on_seconds:.2f}x)"
     )
 
 

@@ -7,9 +7,10 @@ shapes against the paper's claims.
 Measurements flow through :func:`benchmarks.harness.measure` (or, for
 the hand-timed acceptance gates, :func:`record_timing` directly) into a
 session-wide series table.  At session end the table is written in the
-shared metrics-JSON schema (:data:`repro.obs.export.METRICS_SCHEMA`) to
-the path in the ``BENCH_ENGINE_JSON`` environment variable (default
-``BENCH_engine.json``), which CI uploads as an artifact.  The write
+shared metrics-JSON schema (:data:`repro.obs.export.METRICS_SCHEMA`),
+one file per subsystem chosen by series-name prefix (:data:`_ROUTES`;
+everything else goes to ``BENCH_ENGINE_JSON``, default
+``BENCH_engine.json``), which CI uploads as artifacts.  The write
 *merges by key* with whatever the file already holds — series
 accumulate a perf trajectory across runs instead of being overwritten —
 and carries a snapshot of the global metrics registry (engine counters,
@@ -19,17 +20,40 @@ chase step histograms, fan-out gauges) alongside the timings.
 from __future__ import annotations
 
 import os
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.core.receiver import Receiver
 from repro.graph.instance import Edge, Instance, Obj
 
 _SERIES: Dict[str, List[float]] = {}
 
+#: Series-name prefix -> (env var, default file, suite label).  Each
+#: subsystem's series go to their own artifact; names matching no
+#: prefix go to the engine dump (:data:`_ENGINE_ROUTE`).
+_ROUTES: Dict[str, Tuple[str, str, str]] = {
+    "store.": ("BENCH_STORE_JSON", "BENCH_store.json", "store"),
+    "resilience.": (
+        "BENCH_RESILIENCE_JSON",
+        "BENCH_resilience.json",
+        "resilience",
+    ),
+    "obs.": ("BENCH_OBS_JSON", "BENCH_obs.json", "obs"),
+    "server.": ("BENCH_SERVER_JSON", "BENCH_server.json", "server"),
+    "fleet.": ("BENCH_FLEET_JSON", "BENCH_fleet.json", "fleet"),
+}
+_ENGINE_ROUTE = ("BENCH_ENGINE_JSON", "BENCH_engine.json", "benchmarks")
+
 
 def record_timing(name: str, seconds: float) -> None:
     """Record one measured point in the session's metrics series."""
     _SERIES.setdefault(name, []).append(seconds)
+
+
+def _route(name: str) -> Tuple[str, str, str]:
+    for prefix, route in _ROUTES.items():
+        if name.startswith(prefix):
+            return route
+    return _ENGINE_ROUTE
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -38,83 +62,14 @@ def pytest_sessionfinish(session, exitstatus):
     from repro.obs.export import metrics_dump, write_metrics
     from repro.obs.metrics import global_registry
 
-    # Subsystem series go to their own artifacts — ``store.*`` from
-    # bench_store.py and ``resilience.*`` from bench_resilience.py;
-    # everything else stays in the engine dump.
-    store_series = {
-        name: values
-        for name, values in _SERIES.items()
-        if name.startswith("store.")
-    }
-    resilience_series = {
-        name: values
-        for name, values in _SERIES.items()
-        if name.startswith("resilience.")
-    }
-    obs_series = {
-        name: values
-        for name, values in _SERIES.items()
-        if name.startswith("obs.")
-    }
-    server_series = {
-        name: values
-        for name, values in _SERIES.items()
-        if name.startswith("server.")
-    }
-    fleet_series = {
-        name: values
-        for name, values in _SERIES.items()
-        if name.startswith("fleet.")
-    }
-    engine_series = {
-        name: values
-        for name, values in _SERIES.items()
-        if name not in store_series
-        and name not in resilience_series
-        and name not in obs_series
-        and name not in server_series
-        and name not in fleet_series
-    }
-    if engine_series:
-        path = os.environ.get("BENCH_ENGINE_JSON", "BENCH_engine.json")
+    grouped: Dict[Tuple[str, str, str], Dict[str, List[float]]] = {}
+    for name, values in _SERIES.items():
+        grouped.setdefault(_route(name), {})[name] = values
+    for (env_var, default, suite), series in grouped.items():
         document = metrics_dump(
-            engine_series, registry=global_registry(), suite="benchmarks"
+            series, registry=global_registry(), suite=suite
         )
-        write_metrics(path, document)
-    if store_series:
-        path = os.environ.get("BENCH_STORE_JSON", "BENCH_store.json")
-        document = metrics_dump(
-            store_series, registry=global_registry(), suite="store"
-        )
-        write_metrics(path, document)
-    if resilience_series:
-        path = os.environ.get(
-            "BENCH_RESILIENCE_JSON", "BENCH_resilience.json"
-        )
-        document = metrics_dump(
-            resilience_series,
-            registry=global_registry(),
-            suite="resilience",
-        )
-        write_metrics(path, document)
-    if obs_series:
-        path = os.environ.get("BENCH_OBS_JSON", "BENCH_obs.json")
-        document = metrics_dump(
-            obs_series, registry=global_registry(), suite="obs"
-        )
-        write_metrics(path, document)
-    if server_series:
-        path = os.environ.get("BENCH_SERVER_JSON", "BENCH_server.json")
-        document = metrics_dump(
-            server_series, registry=global_registry(), suite="server"
-        )
-        write_metrics(path, document)
-    if fleet_series:
-        path = os.environ.get("BENCH_FLEET_JSON", "BENCH_fleet.json")
-        document = metrics_dump(
-            fleet_series, registry=global_registry(), suite="fleet"
-        )
-        write_metrics(path, document)
+        write_metrics(os.environ.get(env_var, default), document)
 
 
 def chain_instance(length: int) -> Instance:

@@ -56,7 +56,7 @@ changes through two more layers:
   (``delta_fast_paths`` / ``delta_fallbacks`` / ``delta_fused_regions``
   count the paths taken).
 
-Optimizer v2 adds two more layers on the hot path:
+Optimizer v2 adds one more layer on the hot path:
 
 * **Plan cache + stats feedback.**  The join order and pushdown shape
   chosen for a region is memoized in the shared :class:`EngineCache`,
@@ -69,15 +69,6 @@ Optimizer v2 adds two more layers on the hot path:
   n-distinct estimates plus correlated-predicate corrections learned
   from executed-join actuals.
 
-* **Columnar tier.**  When an operator's input exceeds
-  :func:`~repro.relational.columnar.columnar_threshold` rows, the
-  planner runs it on the vectorized kernels of
-  :mod:`repro.relational.columnar` (hash join, σ, π-dedup over int64
-  column arrays).  Kernels only ever produce *row indices* — result
-  tuples are materialized from the original rows — and decline inputs
-  they cannot encode exactly, so the tuple path and the columnar path
-  are bit-identical (``columnar_ops`` / ``columnar_fallbacks``).
-
 Results are always identical to
 :func:`repro.relational.evaluate.evaluate` (the differential-testing
 oracle, together with ``evaluate_optimized``).
@@ -85,7 +76,6 @@ oracle, together with ``evaluate_optimized``).
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import (
@@ -119,21 +109,10 @@ from repro.relational.cardinality import (
     estimated_join_size,
     join_signature,
 )
-from repro.relational.columnar import (
-    HAVE_NUMPY,
-    Batch,
-    batch_of,
-    columnar_enabled,
-    columnar_threshold,
-    distinct_indices,
-    select_mask,
-    view_of,
-)
 from repro.resilience.budget import Budget
 from repro.resilience.budget import applied as budget_applied
 from repro.resilience.budget import tick as budget_tick
 from repro.resilience.faults import (
-    ENGINE_COLUMNAR,
     ENGINE_EVALUATE,
     ENGINE_PLAN,
     FaultError,
@@ -146,7 +125,7 @@ from repro.relational.delta import (
     substituted,
 )
 from repro.relational.evaluate import infer_schema
-from repro.relational.optimizer import join_factors
+from repro.relational.optimizer import hash_join, join_factors
 from repro.relational.relation import (
     Relation,
     RelationError,
@@ -452,8 +431,6 @@ class EngineStats:
         "plan_cache_hits",
         "plan_cache_misses",
         "replans",
-        "columnar_ops",
-        "columnar_fallbacks",
     )
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
@@ -475,8 +452,6 @@ class EngineStats:
     plan_cache_hits = _counter_property("plan_cache_hits")
     plan_cache_misses = _counter_property("plan_cache_misses")
     replans = _counter_property("replans")
-    columnar_ops = _counter_property("columnar_ops")
-    columnar_fallbacks = _counter_property("columnar_fallbacks")
 
     def op(self, name: str) -> OperatorStats:
         stats = self.operators.get(name)
@@ -505,9 +480,7 @@ class EngineStats:
             f"hash build rows: {self.hash_build_rows}",
             f"plans: {self.plan_cache_hits} hits / "
             f"{self.plan_cache_misses} misses / {self.replans} replans "
-            f"({self.plan_cache_hit_rate:.1%} hit rate), "
-            f"columnar: {self.columnar_ops} vector ops / "
-            f"{self.columnar_fallbacks} fallbacks",
+            f"({self.plan_cache_hit_rate:.1%} hit rate)",
             f"delta: {self.delta_fast_paths} fast paths / "
             f"{self.delta_fallbacks} fallbacks, "
             f"{self.delta_fused_regions} fused regions, "
@@ -586,7 +559,6 @@ class QueryEngine:
         interner: Optional[Interner] = None,
         cache: Optional[EngineCache] = None,
         registry: Optional[MetricsRegistry] = None,
-        columnar: Optional[bool] = None,
     ) -> None:
         self._database = database
         self._db_schema: DatabaseSchema = database.schema
@@ -597,15 +569,6 @@ class QueryEngine:
         self._local: Dict[int, Relation] = {}
         self._schemas: Dict[int, RelationSchema] = {}
         self._plans: Dict[int, _PlanEntry] = {}
-        # ``columnar=None`` follows the environment (REPRO_COLUMNAR /
-        # numpy availability); an explicit flag pins the tier on or off
-        # for this engine (still off without numpy — there is nothing
-        # to vectorize with).
-        if columnar is None:
-            self._columnar = columnar_enabled()
-        else:
-            self._columnar = bool(columnar) and HAVE_NUMPY
-        self._columnar_threshold = columnar_threshold()
         # Pass one ``registry`` to several engines (the per-step engines
         # of a receiver sequence, replay loops) to accumulate counters
         # across all of them.
@@ -658,9 +621,6 @@ class QueryEngine:
     def schema(self, expr: Expr) -> RelationSchema:
         """Memoized :func:`infer_schema` of ``expr``."""
         return self._schema(self.intern(expr))
-
-    def reset_stats(self) -> None:
-        self.stats = EngineStats()
 
     def explain(self, expr: Expr, timings: bool = False) -> str:
         """Render the plan actually used for ``expr``.
@@ -779,7 +739,6 @@ class QueryEngine:
         self.stats.cache_misses += 1
         start = time.perf_counter()
         if isinstance(node, (Select, Product, Project, Rename)):
-            columnar_before = self.stats.columnar_ops
             with trace.span(
                 "engine.join_region", category="engine"
             ) as span:
@@ -788,7 +747,7 @@ class QueryEngine:
                 except FaultError:
                     # Injected planner failure (``engine.plan``):
                     # degrade to structural evaluation of the region —
-                    # same result, no planning, no vectorization.
+                    # same result, no planning.
                     relation = self._naive_region(node)
                     entry = _PlanEntry(
                         "join-region",
@@ -796,16 +755,9 @@ class QueryEngine:
                         detail="(planner fault: structural fallback)",
                     )
                 span.set(factors=len(entry.children), rows=len(relation))
-            # Columnar vs tuple-at-a-time region latency, split by which
-            # execution tier actually ran (did any vector op fire?).
-            tier = (
-                "columnar"
-                if self.stats.columnar_ops > columnar_before
-                else "tuple"
+            global_registry().histogram("engine.region.tuple_ms").observe(
+                (time.perf_counter() - start) * 1000.0
             )
-            global_registry().histogram(
-                f"engine.region.{tier}_ms"
-            ).observe((time.perf_counter() - start) * 1000.0)
         elif isinstance(node, Rel):
             relation = self._database.relation(node.name)
             entry = _PlanEntry("scan", len(relation), detail=node.name)
@@ -1296,102 +1248,6 @@ class _RegionPlanner:
         self._factors.append(_Factor(node, names, []))
         return names
 
-    # -- columnar dispatch ---------------------------------------------
-    def _columnar_ready(self, rows_in: int) -> bool:
-        """Whether the next operator should try the columnar tier.
-
-        The ``engine.columnar`` fault site is crossed *unconditionally*
-        (the chaos suite must be able to fail the dispatch decision
-        even on small workloads); a recoverable fault pins this one
-        operator to the tuple path.
-        """
-        try:
-            fault_point(ENGINE_COLUMNAR)
-        except FaultError:
-            self._stats.columnar_fallbacks += 1
-            return False
-        engine = self._engine
-        return engine._columnar and rows_in >= engine._columnar_threshold
-
-    def _select_rows(
-        self, relation: Relation, left: str, right: str, equal: bool
-    ) -> Relation:
-        """σ as a vectorized column comparison, tuple path otherwise."""
-        if self._columnar_ready(len(relation)):
-            view = view_of(relation)
-            mask = select_mask(
-                view,
-                relation.schema.position(left),
-                relation.schema.position(right),
-                equal,
-            )
-            if mask is not None:
-                self._stats.columnar_ops += 1
-                return Relation._from_rows(
-                    relation.schema,
-                    itertools.compress(view.rows, mask),
-                )
-            self._stats.columnar_fallbacks += 1
-        return relation.select(left, right, equal)
-
-    def _project_rows(
-        self, relation: Relation, names: Sequence[str]
-    ) -> Relation:
-        """π-dedup via ``np.unique`` representatives, tuple otherwise."""
-        if self._columnar_ready(len(relation)):
-            view = view_of(relation)
-            positions = [relation.schema.position(n) for n in names]
-            indices = distinct_indices(view, positions)
-            if indices is not None:
-                self._stats.columnar_ops += 1
-                rows = view.rows
-                return Relation._from_rows(
-                    relation.schema.project(names),
-                    (
-                        tuple(rows[k][p] for p in positions)
-                        for k in indices.tolist()
-                    ),
-                )
-            self._stats.columnar_fallbacks += 1
-        return relation.project(names)
-
-    # -- pipelined intermediates (Relation | Batch) --------------------
-    # Inside a region the running intermediate ``current`` is either a
-    # materialized Relation (tuple path) or a columnar Batch: row-index
-    # selections into the factor views, with the single Python-tuple
-    # materialization deferred to the end of the region.  Both carry
-    # identical cardinalities (region intermediates are duplicate-free),
-    # so plans, step traces, and stats agree across the two tiers.
-    def _pipe_names(self, current) -> Tuple[str, ...]:
-        if isinstance(current, Batch):
-            return current.names
-        return current.schema.names
-
-    def _to_relation(self, current) -> Relation:
-        if isinstance(current, Batch):
-            return current.materialize()
-        return current
-
-    def _estimate(
-        self, current, factor: Relation, pairs: Sequence[Tuple[str, str]]
-    ) -> float:
-        """:func:`estimated_join_size` generalized to a Batch left side
-        (same System-R formula; the batch's distinct counts come from a
-        vectorized sample instead of the catalog)."""
-        if not isinstance(current, Batch):
-            return estimated_join_size(current, factor, pairs, self._catalog)
-        catalog = self._catalog
-        size = float(len(current) * len(factor))
-        for left_attr, right_attr in pairs:
-            left_distinct = current.ndistinct(current.position(left_attr))
-            if left_distinct is None:
-                left_distinct = max(1, len(current))
-            right_distinct = catalog.ndistinct(factor, right_attr)
-            size /= max(left_distinct, right_distinct)
-        if pairs:
-            size *= catalog.correction(join_signature(pairs))
-        return size
-
     # -- execution -----------------------------------------------------
     def _factor_relation(self, factor: _Factor, needed: Set[str]) -> Relation:
         relation = self._engine._evaluate(factor.node)
@@ -1401,7 +1257,7 @@ class _RegionPlanner:
         keep = [n for n in relation.schema.names if n in needed]
         if len(keep) != relation.schema.arity:
             start = time.perf_counter()
-            pruned = self._project_rows(relation, keep)
+            pruned = relation.project(keep)
             self._stats.op("project").record(
                 len(relation), len(pruned), time.perf_counter() - start
             )
@@ -1412,31 +1268,15 @@ class _RegionPlanner:
             relation = pruned
         return relation
 
-    def _apply_local(self, current):
-        names = set(self._pipe_names(current))
+    def _apply_local(self, current: Relation) -> Relation:
+        names = set(current.schema.names)
         remaining: List[Condition] = []
         for left, right, equal in self._conditions:
             if left in names and right in names:
                 start = time.perf_counter()
-                rows_in = len(current)
-                filtered = None
-                if isinstance(current, Batch):
-                    filtered = current.select(
-                        current.position(left),
-                        current.position(right),
-                        equal,
-                    )
-                    if filtered is None:
-                        # A non-encodable operand: leave the batch tier
-                        # for the rest of this intermediate.
-                        self._stats.columnar_fallbacks += 1
-                        current = current.materialize()
-                    else:
-                        self._stats.columnar_ops += 1
-                if filtered is None:
-                    filtered = self._select_rows(current, left, right, equal)
+                filtered = current.select(left, right, equal)
                 self._stats.op("select").record(
-                    rows_in,
+                    len(current),
                     len(filtered),
                     time.perf_counter() - start,
                 )
@@ -1452,71 +1292,17 @@ class _RegionPlanner:
 
     def _hash_join(
         self,
-        left,
+        left: Relation,
         right: Relation,
         pairs: Sequence[Tuple[str, str]],
-    ):
-        """Equi-join ``current`` (Relation or Batch) with a factor.
-
-        Above the columnar threshold this stays in (or enters) the batch
-        tier: sort/searchsorted over the key arrays, output represented
-        as index selections — no tuple is built.  Otherwise, or on a
-        non-encodable key, the classic build/probe hash loop runs over
-        materialized rows.
-        """
+    ) -> Relation:
+        """Equi-join the running intermediate ``left`` with a factor
+        through :func:`hash_join`, recorded as one ``hash_join`` op."""
         start = time.perf_counter()
-        rows_in = len(left) + len(right)
-        result = None
-        attempted = False
-        if self._columnar_ready(rows_in):
-            attempted = True
-            left_batch = (
-                left if isinstance(left, Batch) else batch_of(left)
-            )
-            right_batch = batch_of(right)
-            result = left_batch.join(
-                right_batch,
-                [
-                    (left_batch.position(a), right_batch.position(b))
-                    for a, b in pairs
-                ],
-            )
-            if result is not None:
-                self._stats.columnar_ops += 1
-                self._stats.hash_build_rows += min(len(left), len(right))
-        if result is None:
-            if attempted:
-                self._stats.columnar_fallbacks += 1
-            left_rel = self._to_relation(left)
-            # Build the hash index on the smaller side.
-            if len(right) <= len(left_rel):
-                build, probe = right, left_rel
-                build_attrs = [b for _, b in pairs]
-                probe_attrs = [a for a, _ in pairs]
-                swap = False
-            else:
-                build, probe = left_rel, right
-                build_attrs = [a for a, _ in pairs]
-                probe_attrs = [b for _, b in pairs]
-                swap = True
-            build_positions = [build.schema.position(a) for a in build_attrs]
-            probe_positions = [probe.schema.position(a) for a in probe_attrs]
-            schema = left_rel.schema.concat(right.schema)
-            index: Dict[Tuple, List[Tuple]] = {}
-            for row in build:
-                index.setdefault(
-                    tuple(row[p] for p in build_positions), []
-                ).append(row)
-            self._stats.hash_build_rows += len(build)
-            rows = set()
-            for row in probe:
-                for match in index.get(
-                    tuple(row[p] for p in probe_positions), ()
-                ):
-                    rows.add(match + row if swap else row + match)
-            result = Relation._from_rows(schema, rows)
+        result = hash_join(left, right, pairs)
+        self._stats.hash_build_rows += min(len(left), len(right))
         self._stats.op("hash_join").record(
-            rows_in,
+            len(left) + len(right),
             len(result),
             time.perf_counter() - start,
         )
@@ -1595,7 +1381,7 @@ class _RegionPlanner:
         self,
         relations: Sequence[Relation],
         steps: Tuple[Tuple[str, int], ...],
-    ):
+    ) -> Relation:
         """Run a cached plan: same step order, pairs re-derived from the
         (structure-determined) condition list."""
         seed_index = steps[0][1]
@@ -1608,7 +1394,7 @@ class _RegionPlanner:
         for kind, index in steps[1:]:
             factor = relations[index]
             pairs = self._connecting_pairs(
-                set(self._pipe_names(current)), set(factor.schema.names)
+                set(current.schema.names), set(factor.schema.names)
             )
             if kind == "join" and pairs:
                 current = self._hash_join(current, factor, pairs)
@@ -1619,19 +1405,7 @@ class _RegionPlanner:
                     f"on ({conds})  rows={len(current)}"
                 )
             else:
-                start = time.perf_counter()
-                current = self._to_relation(current)
-                joined = current.product(factor)
-                self._stats.op("product").record(
-                    len(current) + len(factor),
-                    len(joined),
-                    time.perf_counter() - start,
-                )
-                self._steps.append(
-                    f"product x {factor_label(self._factors[index].node)}"
-                    f"  rows={len(joined)}"
-                )
-                current = joined
+                current = self._product(current, factor, index)
             current = self._apply_local(current)
         return current
 
@@ -1643,7 +1417,25 @@ class _RegionPlanner:
             if not (c[2] and (c[0], c[1]) in used)
         ]
 
-    def _greedy_join(self, relations: Sequence[Relation]):
+    def _product(
+        self, current: Relation, factor: Relation, index: int
+    ) -> Relation:
+        start = time.perf_counter()
+        joined = current.product(factor)
+        self._stats.op("product").record(
+            len(current) + len(factor),
+            len(joined),
+            time.perf_counter() - start,
+        )
+        self._steps.append(
+            f"product x {factor_label(self._factors[index].node)}"
+            f"  rows={len(joined)}"
+        )
+        return joined
+
+    def _greedy_join(
+        self, relations: Sequence[Relation]
+    ) -> Tuple[Relation, Tuple[Tuple[str, int], ...]]:
         """Greedy cardinality-guided join, recording the step sequence
         for the plan cache and feeding actuals back to the catalog."""
         catalog = self._catalog
@@ -1661,7 +1453,7 @@ class _RegionPlanner:
         current = self._apply_local(current)
 
         while remaining:
-            current_names = set(self._pipe_names(current))
+            current_names = set(current.schema.names)
             best: Optional[Tuple[float, int, int, int]] = None
             best_pairs: List[Tuple[str, str]] = []
             for position, (index, factor) in enumerate(remaining):
@@ -1671,7 +1463,7 @@ class _RegionPlanner:
                 if not pairs:
                     continue
                 rank = (
-                    self._estimate(current, factor, pairs),
+                    estimated_join_size(current, factor, pairs, catalog),
                     len(factor),
                     index,
                     position,
@@ -1687,19 +1479,7 @@ class _RegionPlanner:
                 )
                 index, factor = remaining.pop(position)
                 recorded.append(("product", index))
-                start = time.perf_counter()
-                current = self._to_relation(current)
-                joined = current.product(factor)
-                self._stats.op("product").record(
-                    len(current) + len(factor),
-                    len(joined),
-                    time.perf_counter() - start,
-                )
-                self._steps.append(
-                    f"product x {factor_label(self._factors[index].node)}"
-                    f"  rows={len(joined)}"
-                )
-                current = joined
+                current = self._product(current, factor, index)
             else:
                 position = best[3]
                 index, factor = remaining.pop(position)
@@ -1762,37 +1542,11 @@ class _RegionPlanner:
             raise RelationError(
                 f"join planning left conditions {self._conditions} "
                 f"unapplied; available attributes "
-                f"{list(self._pipe_names(current))}"
+                f"{list(current.schema.names)}"
             )
-        if isinstance(current, Batch):
-            # The one tuple-materialization pass of the region.  A final
-            # projection is column remapping plus np.unique dedup before
-            # materializing, so only surviving rows become tuples (the
-            # frozenset also dedups, covering the non-encodable case).
-            if current.names != expected:
-                start = time.perf_counter()
-                rows_in = len(current)
-                current = current.project(
-                    [current.position(name) for name in expected]
-                )
-                deduped = current.distinct()
-                if deduped is not None:
-                    self._stats.columnar_ops += 1
-                    current = deduped
-                else:
-                    self._stats.columnar_fallbacks += 1
-                current = current.materialize()
-                self._stats.op("project").record(
-                    rows_in, len(current), time.perf_counter() - start
-                )
-                self._steps.append(
-                    f"project [{', '.join(expected)}]  rows={len(current)}"
-                )
-            else:
-                current = current.materialize()
-        elif current.schema.names != expected:
+        if current.schema.names != expected:
             start = time.perf_counter()
-            projected = self._project_rows(current, expected)
+            projected = current.project(expected)
             self._stats.op("project").record(
                 len(current), len(projected), time.perf_counter() - start
             )

@@ -79,25 +79,40 @@ def _apply_local_conditions(
     return relation, remaining
 
 
-def _hash_join(
+def hash_join(
     left: Relation,
     right: Relation,
     pairs: Sequence[Tuple[str, str]],
 ) -> Relation:
-    """Equi-join ``left`` and ``right`` on the given attribute pairs."""
-    left_positions = [left.schema.position(a) for a, _ in pairs]
-    right_positions = [right.schema.position(b) for _, b in pairs]
-    index: Dict[Tuple, List[Tuple]] = {}
-    for row in right:
-        key = tuple(row[p] for p in right_positions)
-        index.setdefault(key, []).append(row)
+    """Equi-join ``left`` and ``right`` on the given attribute pairs.
+
+    The hash index is built on the smaller side; output rows are always
+    ``left``'s columns followed by ``right``'s.  Rows joined from two
+    validated relations are valid, so the result skips re-validation.
+    The engine's region planner and :func:`join_factors` both join
+    through here.
+    """
+    if len(right) <= len(left):
+        build, probe, swap = right, left, False
+        build_attrs = [b for _, b in pairs]
+        probe_attrs = [a for a, _ in pairs]
+    else:
+        build, probe, swap = left, right, True
+        build_attrs = [a for a, _ in pairs]
+        probe_attrs = [b for _, b in pairs]
+    build_positions = [build.schema.position(a) for a in build_attrs]
+    probe_positions = [probe.schema.position(a) for a in probe_attrs]
     schema = left.schema.concat(right.schema)
+    index: Dict[Tuple, List[Tuple]] = {}
+    for row in build:
+        index.setdefault(
+            tuple(row[p] for p in build_positions), []
+        ).append(row)
     rows = set()
-    for row in left:
-        key = tuple(row[p] for p in left_positions)
-        for match in index.get(key, ()):
-            rows.add(row + match)
-    return Relation(schema, rows)
+    for row in probe:
+        for match in index.get(tuple(row[p] for p in probe_positions), ()):
+            rows.add(match + row if swap else row + match)
+    return Relation._from_rows(schema, rows)
 
 
 def join_factors(
@@ -154,7 +169,7 @@ def join_factors(
                 (a, b)
                 for a, b in chosen_pairs
             }
-            current = _hash_join(current, factor, chosen_pairs)
+            current = hash_join(current, factor, chosen_pairs)
             conditions = [
                 c
                 for c in conditions

@@ -155,7 +155,7 @@ def schema_of(*pairs: Tuple[str, str]) -> RelationSchema:
 class Relation:
     """A finite, typed relation: a schema plus a set of tuples."""
 
-    __slots__ = ("_schema", "_tuples", "_tuple_xor", "_fp", "_columnar")
+    __slots__ = ("_schema", "_tuples", "_tuple_xor", "_fp")
 
     def __init__(
         self,
@@ -173,10 +173,6 @@ class Relation:
         self._tuples = rows
         self._tuple_xor: Optional[int] = None
         self._fp: Optional[int] = None
-        # Lazily-built columnar view (repro.relational.columnar); cached
-        # here because relations are immutable and apply_delta shares
-        # unchanged relation objects between database states.
-        self._columnar = None
 
     @classmethod
     def _from_rows(
@@ -195,7 +191,6 @@ class Relation:
         )
         result._tuple_xor = None
         result._fp = None
-        result._columnar = None
         return result
 
     @property
@@ -261,7 +256,6 @@ class Relation:
         result._schema = self._schema
         result._tuples = (self._tuples - removed) | added
         result._fp = None
-        result._columnar = None
         if self._tuple_xor is not None:
             acc = self._tuple_xor
             for row in added:
@@ -289,7 +283,6 @@ class Relation:
         result._schema = self._schema
         result._tuples = (self._tuples - removed) | added
         result._fp = None
-        result._columnar = None
         if self._tuple_xor is not None:
             acc = self._tuple_xor
             for row in added:
@@ -365,15 +358,6 @@ class Relation:
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-    def __getstate__(self):
-        # The columnar view is a process-local cache of numpy arrays;
-        # rebuild it lazily on the other side instead of shipping it.
-        return (self._schema, self._tuples, self._tuple_xor, self._fp)
-
-    def __setstate__(self, state) -> None:
-        self._schema, self._tuples, self._tuple_xor, self._fp = state
-        self._columnar = None
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented

@@ -48,10 +48,6 @@ ENGINE_PLAN = "engine.plan"
 """Entry of the join-region planner.  A recoverable :class:`FaultError`
 here makes the engine fall back to the naive structural evaluation of
 the region (same result, no planning); a kill crashes the evaluation."""
-ENGINE_COLUMNAR = "engine.columnar"
-"""The columnar-kernel dispatch decision inside a join region.  A
-recoverable :class:`FaultError` pins that operator to the tuple path;
-a kill crashes the evaluation."""
 CHASE_STEP = "chase.step"
 PARALLEL_WORKER = "parallel.worker"
 WAL_APPEND = "wal.append"
@@ -103,7 +99,6 @@ or committed in full).  Covered by ``tests/test_server_chaos.py``, not
 KNOWN_SITES: Tuple[str, ...] = (
     ENGINE_EVALUATE,
     ENGINE_PLAN,
-    ENGINE_COLUMNAR,
     CHASE_STEP,
     PARALLEL_WORKER,
     WAL_APPEND,
@@ -412,7 +407,6 @@ class FaultInjector:
 
 __all__ = [
     "CHASE_STEP",
-    "ENGINE_COLUMNAR",
     "ENGINE_EVALUATE",
     "ENGINE_PLAN",
     "KNOWN_SITES",

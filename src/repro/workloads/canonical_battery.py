@@ -25,8 +25,7 @@ two-pair equi-join.  The engine's
 :class:`~repro.relational.cardinality.StatsCatalog` must learn the
 correction from actuals, the plan cache must hold across the repeated
 σ(×) queries, and the delta steps drive the fused region rule
-(``delta_fallbacks`` stays 0 on them).  All values are small ints, so
-the columnar tier can encode every column.
+(``delta_fallbacks`` stays 0 on them).
 """
 
 from __future__ import annotations

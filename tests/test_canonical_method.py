@@ -74,6 +74,15 @@ DEFLATIONARY_CATALOG = [
 ]
 
 
+def coloring_id(assignment):
+    """Test id for a catalog entry, with each color set written in sorted
+    order so the id does not depend on ``PYTHONHASHSEED``."""
+    return "[" + ", ".join(
+        f"({name!r}, {{{', '.join(map(repr, sorted(colors)))}}})"
+        for name, colors in sorted(assignment.items())
+    ) + "]"
+
+
 class TestConstruction:
     def test_unsound_coloring_rejected(self):
         kappa = Coloring(AB_SCHEMA, {"A": {"d"}})  # d without u: unsound
@@ -171,7 +180,7 @@ class TestCreateDeleteBehavior:
 
 
 @pytest.mark.parametrize(
-    "assignment", INFLATIONARY_CATALOG, ids=[str(sorted(c.items())) for c in INFLATIONARY_CATALOG]
+    "assignment", INFLATIONARY_CATALOG, ids=[coloring_id(c) for c in INFLATIONARY_CATALOG]
 )
 def test_inflationary_minimal_coloring_recovered(assignment):
     kappa = Coloring(AB_SCHEMA, assignment)
@@ -182,7 +191,7 @@ def test_inflationary_minimal_coloring_recovered(assignment):
 
 
 @pytest.mark.parametrize(
-    "assignment", DEFLATIONARY_CATALOG, ids=[str(sorted(c.items())) for c in DEFLATIONARY_CATALOG]
+    "assignment", DEFLATIONARY_CATALOG, ids=[coloring_id(c) for c in DEFLATIONARY_CATALOG]
 )
 def test_deflationary_minimal_coloring_recovered(assignment):
     kappa = Coloring(AB_SCHEMA, assignment)

@@ -1,5 +1,6 @@
 """The memoizing query engine: differential tests against both
-reference evaluators, CSE/caching behavior, plan observability, and
+reference evaluators, CSE/caching behavior, plan observability, the
+stats catalog and plan cache (plans only, results never), and
 regression tests for the evaluator bugfix batch."""
 
 import pytest
@@ -17,8 +18,13 @@ from repro.relational.algebra import (
     Union,
 )
 from repro.relational.cardinality import estimated_join_size
-from repro.relational.database import Database
-from repro.relational.engine import Interner, QueryEngine, intern_expr
+from repro.relational.database import Database, DatabaseSchema
+from repro.relational.engine import (
+    EngineCache,
+    Interner,
+    QueryEngine,
+    intern_expr,
+)
 from repro.relational.evaluate import evaluate, infer_schema
 from repro.relational.optimizer import _join_factors, evaluate_optimized
 from repro.relational.relation import Relation, RelationError, schema_of
@@ -485,3 +491,112 @@ class TestEngineWiring:
             # Structurally equal builds intern to the same objects.
             assert first.pairs[label][0] is second.pairs[label][0]
             assert first.pairs[label][1] is second.pairs[label][1]
+
+
+MIXED_SCHEMA = DatabaseSchema(
+    {
+        "S": schema_of(("a", "int"), ("n", "str")),
+        "T": schema_of(("b", "int"), ("m", "str")),
+    }
+)
+
+
+def test_string_and_int_keyed_joins_match_evaluate():
+    """The same two relations joined on their string columns and on
+    their int columns: the engine agrees with the reference evaluator
+    on both (the random differentials above only draw int columns)."""
+    database = Database(
+        {
+            "S": Relation(
+                MIXED_SCHEMA.relation_schema("S"),
+                {(i, f"name{i % 3}") for i in range(8)},
+            ),
+            "T": Relation(
+                MIXED_SCHEMA.relation_schema("T"),
+                {(i % 4, f"name{i % 5}") for i in range(8)},
+            ),
+        }
+    )
+    for left, right in (("n", "m"), ("a", "b")):
+        join = Select(Product(Rel("S"), Rel("T")), left, right, True)
+        engine = QueryEngine(database)
+        assert engine.evaluate(join) == evaluate(join, database)
+        assert engine.stats.operators["hash_join"].calls == 1
+
+
+# ----------------------------------------------------------------------
+# Stats feedback and plan cache: plans only, results never
+# ----------------------------------------------------------------------
+@given(
+    engine_expressions(),
+    databases(),
+    st.sampled_from([1.0 / 64.0, 64.0]),
+)
+@settings(max_examples=100, deadline=None)
+def test_catalog_corrections_never_alter_results(expr, database, extreme):
+    cache = EngineCache()
+    # Saturate every learned correction at a clamp boundary: join
+    # orderings may flip, results may not.
+    cache.stats_catalog.correction = lambda signature: extreme
+    engine = QueryEngine(database, cache=cache)
+    assert engine.evaluate(expr) == evaluate(expr, database)
+
+
+def _join_case(fact_rows):
+    database = Database(
+        {
+            "F": Relation(
+                schema_of(("fk", "int"), ("fv", "int")), fact_rows
+            ),
+            "D": Relation(
+                schema_of(("dk", "int"), ("dv", "int")),
+                {(k, k) for k in range(8)},
+            ),
+        }
+    )
+    expr = Select(Product(Rel("F"), Rel("D")), "fk", "dk", True)
+    return database, expr
+
+
+class TestPlanCacheFreshness:
+    def test_content_match_and_size_band_hits(self):
+        rows = {(i % 8, i) for i in range(40)}
+        database, expr = _join_case(rows)
+        cache = EngineCache()
+        first = QueryEngine(database, cache=cache)
+        first.evaluate(expr)
+        assert first.stats.plan_cache_misses == 1
+
+        # Identical content: a content-match hit.
+        cache.forget_results()
+        second = QueryEngine(database, cache=cache)
+        assert second.evaluate(expr) == evaluate(expr, database)
+        assert second.stats.plan_cache_hits == 1
+
+        # Changed fingerprints, compatible sizes: still a (shape) hit,
+        # and the result reflects the *new* content.
+        drifted = {(i % 8, i + 1000) for i in range(40)}
+        new_database, _ = _join_case(drifted)
+        third = QueryEngine(new_database, cache=cache)
+        assert third.evaluate(expr) == evaluate(expr, new_database)
+        assert third.stats.plan_cache_hits == 1
+        assert third.stats.replans == 0
+
+    def test_cardinality_drift_forces_replan(self):
+        database, expr = _join_case({(i % 8, i) for i in range(40)})
+        cache = EngineCache()
+        QueryEngine(database, cache=cache).evaluate(expr)
+
+        # 5x the rows: outside the 2x+16 freshness band.
+        grown, _ = _join_case({(i % 8, i) for i in range(200)})
+        engine = QueryEngine(grown, cache=cache)
+        assert engine.evaluate(expr) == evaluate(expr, grown)
+        assert engine.stats.replans == 1
+        assert engine.stats.plan_cache_hits == 0
+        assert "replan" in engine.stats.render()
+
+        # The replan re-recorded the plan: next engine at this size hits.
+        cache.forget_results()
+        again = QueryEngine(grown, cache=cache)
+        assert again.evaluate(expr) == evaluate(expr, grown)
+        assert again.stats.plan_cache_hits == 1
