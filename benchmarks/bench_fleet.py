@@ -135,7 +135,7 @@ def test_tail_resync_beats_full_reslice_at_1e5_rows():
     record_timing("fleet.resync.tail_s", tail_best)
     record_timing("fleet.resync.full_s", full_best)
     speedup = full_best / tail_best
-    record_timing("fleet.resync.speedup", speedup)
+    record_timing("fleet.resync.speedup", speedup, better="higher")
     assert speedup >= 5.0, (
         f"tail catch-up only {speedup:.2f}x faster than full re-slice"
     )

@@ -153,7 +153,7 @@ def test_plan_cache_hit_rate_gate():
         cache.forget_results()
 
     hit_rate = hits / max(1, hits + misses + replans)
-    record_timing("optimizer.plan_cache_hit_rate", hit_rate)
+    record_timing("optimizer.plan_cache_hit_rate", hit_rate, better="higher")
     assert replans == 0
     assert hit_rate >= 0.9, (
         f"hit rate {hit_rate:.2%} ({hits} hits / {misses} misses)"

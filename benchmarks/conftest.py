@@ -26,6 +26,8 @@ from repro.core.receiver import Receiver
 from repro.graph.instance import Edge, Instance, Obj
 
 _SERIES: Dict[str, List[float]] = {}
+#: Series recorded with ``better="higher"`` (speedups, hit rates).
+_BETTER: Dict[str, str] = {}
 
 #: Series-name prefix -> (env var, default file, suite label).  Each
 #: subsystem's series go to their own artifact; names matching no
@@ -44,9 +46,14 @@ _ROUTES: Dict[str, Tuple[str, str, str]] = {
 _ENGINE_ROUTE = ("BENCH_ENGINE_JSON", "BENCH_engine.json", "benchmarks")
 
 
-def record_timing(name: str, seconds: float) -> None:
-    """Record one measured point in the session's metrics series."""
+def record_timing(name: str, seconds: float, better: str = "lower") -> None:
+    """Record one measured point in the session's metrics series.
+
+    ``better="higher"`` marks a series whose rise is an improvement
+    (a speedup, a hit rate); ``regress.py`` then flags it when it falls.
+    """
     _SERIES.setdefault(name, []).append(seconds)
+    _BETTER[name] = better
 
 
 def _route(name: str) -> Tuple[str, str, str]:
@@ -67,7 +74,7 @@ def pytest_sessionfinish(session, exitstatus):
         grouped.setdefault(_route(name), {})[name] = values
     for (env_var, default, suite), series in grouped.items():
         document = metrics_dump(
-            series, registry=global_registry(), suite=suite
+            series, registry=global_registry(), suite=suite, better=_BETTER
         )
         write_metrics(os.environ.get(env_var, default), document)
 

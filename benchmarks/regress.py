@@ -4,10 +4,14 @@
 ``BENCH_*.json`` re-run in CI *appends* the fresh measurement to every
 series it already holds.  That makes regression detection a pure file
 walk with no extra state: within one series, the **last** value is the
-current run and the **minimum of the earlier** values is the committed
-baseline (best-vs-best, matching how the acceptance gates compare).  A
-series whose current value exceeds baseline x (1 + threshold) is
-flagged.
+current run and the **best of the earlier** values is the committed
+baseline (best-vs-best, matching how the acceptance gates compare).
+
+Each series is compared in its own direction, read from its ``better``
+field: ``"lower"`` (the default — timings, overheads, error rates)
+takes the minimum as the baseline and flags a current value above
+baseline x (1 + threshold); ``"higher"`` (speedups, hit rates) takes
+the maximum and flags a current value below baseline / (1 + threshold).
 
 Usage::
 
@@ -19,8 +23,8 @@ annotated for GitHub Actions) but the exit code stays 0 so machine
 noise cannot block merges while the trajectories season; ``--strict``
 turns flags into a non-zero exit.
 
-Series with fewer than two values (first run of a new benchmark) and
-non-timing units are skipped, not flagged.
+Series with fewer than two values (first run of a new benchmark) are
+skipped, not flagged.  The ``unit`` field is not consulted.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import os
 import sys
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-#: Fractional slowdown tolerated before a series is flagged.
+#: Fractional regression tolerated before a series is flagged.
 DEFAULT_THRESHOLD = 0.20
 
 
@@ -40,19 +44,28 @@ def check_series(
     name: str,
     values: List[float],
     threshold: float = DEFAULT_THRESHOLD,
+    better: str = "lower",
 ) -> Optional[Tuple[float, float, float]]:
     """``(baseline, current, ratio)`` when flagged, else ``None``.
 
     ``values`` is a chronological trajectory; the decision needs at
-    least one committed point before the current one.
+    least one committed point before the current one.  ``ratio`` is how
+    many times worse the current value is than the baseline, in the
+    series' ``better`` direction.
     """
     if len(values) < 2:
         return None
-    baseline = min(values[:-1])
     current = values[-1]
-    if baseline <= 0:
-        return None
-    ratio = current / baseline
+    if better == "higher":
+        baseline = max(values[:-1])
+        if baseline <= 0:
+            return None
+        ratio = baseline / current if current > 0 else float("inf")
+    else:
+        baseline = min(values[:-1])
+        if baseline <= 0:
+            return None
+        ratio = current / baseline
     if ratio > 1.0 + threshold:
         return baseline, current, ratio
     return None
@@ -65,7 +78,8 @@ def check_document(
     flagged = []
     for name, series in sorted(document.get("series", {}).items()):
         values = series.get("values", [])
-        verdict = check_series(name, values, threshold)
+        better = series.get("better", "lower")
+        verdict = check_series(name, values, threshold, better)
         if verdict is None:
             continue
         baseline, current, ratio = verdict
@@ -76,6 +90,7 @@ def check_document(
                 "current": current,
                 "ratio": ratio,
                 "runs": len(values),
+                "better": better,
             }
         )
     return flagged
@@ -97,7 +112,7 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         "--threshold",
         type=float,
         default=DEFAULT_THRESHOLD,
-        help="fractional slowdown tolerated (default 0.2 = 20%%)",
+        help="fractional regression tolerated (default 0.2 = 20%%)",
     )
     parser.add_argument(
         "--strict",
@@ -130,8 +145,9 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
             message = (
                 f"{label}: {flag['series']} regressed "
                 f"{flag['ratio']:.2f}x "
-                f"(baseline {flag['baseline']:.6f}s -> "
-                f"current {flag['current']:.6f}s, "
+                f"(baseline {flag['baseline']:.6f} -> "
+                f"current {flag['current']:.6f}, "
+                f"{flag['better']} is better, "
                 f"{flag['runs']} runs)"
             )
             print(f"regress: FLAG {message}")

@@ -275,6 +275,7 @@ def metrics_dump(
     registry: Optional[MetricsRegistry] = None,
     suite: str = "repro",
     flight: Optional[Any] = None,
+    better: Optional[Mapping[str, str]] = None,
 ) -> Dict[str, Any]:
     """A :data:`METRICS_SCHEMA` document.
 
@@ -282,11 +283,16 @@ def metrics_dump(
     list (a trajectory); a registry snapshot rides along when given,
     as does a :class:`~repro.obs.flight.FlightRecorder` dump (the
     per-transaction audit trail — commit tiers, retries, breaker
-    transitions — next to the numbers they explain).
+    transitions — next to the numbers they explain).  ``better`` maps
+    a series name to ``"higher"`` for series where a larger value is an
+    improvement (speedups, hit rates); every other series is
+    ``"lower"``-is-better.
     """
+    better = better or {}
     normalized = {
         name: {
             "unit": "seconds",
+            "better": better.get(name, "lower"),
             "values": (
                 [float(v) for v in value]
                 if isinstance(value, (list, tuple))
@@ -315,6 +321,7 @@ def _as_series(document: Mapping[str, Any]) -> Dict[str, Dict[str, Any]]:
         return {
             name: {
                 "unit": entry.get("unit", "seconds"),
+                "better": entry.get("better", "lower"),
                 "values": list(entry.get("values", [])),
             }
             for name, entry in series.items()
@@ -332,7 +339,8 @@ def merge_metrics(
     """Merge two metrics documents, appending series values by key.
 
     Series present in both keep the existing history and gain the fresh
-    run's values; series present in only one side are kept as they are.
+    run's values, and take their direction (``better``) from the fresh
+    run; series present in only one side are kept as they are.
     Non-series payloads (registry snapshot, suite name) come from the
     fresh document — counters are cumulative per run, so only the
     latest snapshot is meaningful.
@@ -341,6 +349,7 @@ def merge_metrics(
     for name, entry in _as_series(fresh).items():
         if name in merged_series:
             merged_series[name]["values"].extend(entry["values"])
+            merged_series[name]["better"] = entry["better"]
         else:
             merged_series[name] = entry
     document = dict(fresh)

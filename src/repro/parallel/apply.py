@@ -5,6 +5,13 @@
 in ``T`` replace its ``a``-edges by edges to the objects linked to it in
 the result.
 
+Two write-backs share that evaluation.  :func:`parallel_changes` runs on
+the relational representation (Proposition 5.1): it reads the receiving
+objects' old values from ``C.a`` and returns the change set, which is
+how the versioned store writes.  :func:`apply_parallel` replaces edges
+on the object-base graph and is the reference the first is tested
+against.
+
 For *sequences* of applications, :func:`apply_sequence_incremental`
 exploits that ``M(I, t) = M_par(I, {t})`` (Lemma 6.7 on the trivially-key
 singleton set): it binds one shared :class:`EngineCache` across all
@@ -43,8 +50,13 @@ from repro.algebraic.expression import UpdateTypeError, evaluate_update_expressi
 from repro.algebraic.method import AlgebraicUpdateMethod
 from repro.core.receiver import Receiver, is_key_set
 from repro.core.signature import MethodSignature
-from repro.graph.instance import Instance, Obj
-from repro.objrel.mapping import instance_to_database, property_relation_name
+from repro.graph.instance import Edge, Instance, Obj
+from repro.graph.schema import SchemaError
+from repro.objrel.mapping import (
+    class_relation_name,
+    instance_to_database,
+    property_relation_name,
+)
 from repro.parallel.transform import REC, par_transform, rec_schema
 from repro.relational.algebra import Expr, Rel, Rename, walk
 from repro.relational.database import Database
@@ -230,99 +242,141 @@ def _supervised_fan_out(
     return [results[label] for label in labels]
 
 
-def parallel_changes(
+def _batch_span(
     method: AlgebraicUpdateMethod,
-    instance: Instance,
-    receivers: Iterable[Receiver],
-    cache: Optional[EngineCache] = None,
-    max_workers: Optional[int] = None,
-) -> Tuple[Instance, Dict[str, RelationDelta]]:
-    """``M_par(I, T)`` plus the relational change set it induces.
-
-    Returns ``(new_instance, changes)`` where ``changes`` maps property
-    relation names (``C.a``) to the exact
-    :class:`~repro.relational.delta.RelationDelta` of the transition —
-    normalized (insertions absent before, deletions present before), so
-    ``instance_to_database(instance).apply_delta(changes)`` equals
-    ``instance_to_database(new_instance)``.  This is the write-set
-    vocabulary the versioned store logs and validates; ``apply_parallel``
-    is this function with the change set dropped.
-    """
-    receivers = list(receivers)
-    labels = method.updated_properties
-    batch = trace.span(
+    receivers: Sequence[Receiver],
+    max_workers: Optional[int],
+):
+    """The ``parallel.apply`` span of one ``M_par`` application (and its
+    batch metrics), shared by the relational and the graph write-back."""
+    registry = global_registry()
+    registry.counter("parallel.batches").inc()
+    registry.gauge("parallel.fan_out_width").set_max(len(receivers))
+    return trace.span(
         "parallel.apply",
         category="parallel",
         receivers=len(receivers),
-        statements=len(labels),
+        statements=len(method.updated_properties),
         workers=max_workers or 1,
     )
-    with batch:
-        registry = global_registry()
-        registry.counter("parallel.batches").inc()
-        registry.gauge("parallel.fan_out_width").set_max(len(receivers))
-        # One engine for the whole application: the statements of M_par
-        # are evaluated against the same state, so subtrees they share
-        # (the rec projections, duplicated statement bodies) are
-        # computed once.
-        engine = QueryEngine(
-            parallel_database(method, instance, receivers), cache=cache
-        )
 
-        def statement_updates(label: str) -> Dict[Obj, Set[Obj]]:
-            fault_point(PARALLEL_WORKER)
-            with trace.span(
-                "parallel.statement", category="parallel", label=label
-            ) as span:
-                relation = parallel_update_relation(
-                    method, label, instance, receivers, engine=engine
+
+def _statement_updates(
+    method: AlgebraicUpdateMethod,
+    database: Database,
+    receivers: Sequence[Receiver],
+    cache: Optional[EngineCache],
+    max_workers: Optional[int],
+) -> Dict[str, Dict[Obj, Set[Obj]]]:
+    """``par(E_a)`` over ``database`` plus ``rec``, for every statement.
+
+    Maps each updated property to ``{receiving object: new values}``.
+    Every value is checked against the target class relation
+    (:class:`UpdateTypeError` otherwise).  All statements read the same
+    state (simultaneous semantics) through one engine, so subtrees they
+    share — the ``rec`` projections, duplicated statement bodies — are
+    computed once.
+    """
+    labels = method.updated_properties
+    engine = QueryEngine(
+        database.with_relation(
+            REC, rec_relation(method.signature, receivers)
+        ),
+        cache=cache,
+    )
+
+    def statement_updates(label: str) -> Dict[Obj, Set[Obj]]:
+        fault_point(PARALLEL_WORKER)
+        with trace.span(
+            "parallel.statement", category="parallel", label=label
+        ) as span:
+            relation = engine.evaluate(
+                parallel_statement_expression(method, label)
+            )
+            span.set(rows=len(relation))
+        by_receiver: Dict[Obj, Set[Obj]] = {}
+        self_position, value_position = receiver_value_positions(relation)
+        target_class = method.object_schema.edge(label).target
+        targets = database.relation(class_relation_name(target_class)).tuples
+        for row in relation:
+            value = row[value_position]
+            if (value,) not in targets:
+                raise UpdateTypeError(
+                    f"parallel statement {label} produced {value} "
+                    f"outside class {target_class}"
                 )
-                span.set(rows=len(relation))
-            by_receiver: Dict[Obj, Set[Obj]] = {}
-            self_position, value_position = receiver_value_positions(
-                relation
-            )
-            target_class = method.object_schema.edge(label).target
-            targets = instance.objects_of_class(target_class)
-            for row in relation:
-                receiver_obj = row[self_position]
-                value = row[value_position]
-                if value not in targets:
-                    raise UpdateTypeError(
-                        f"parallel statement {label} produced {value} "
-                        f"outside class {target_class}"
-                    )
-                by_receiver.setdefault(receiver_obj, set()).add(value)
-            return by_receiver
+            by_receiver.setdefault(row[self_position], set()).add(value)
+        return by_receiver
 
-        # Evaluate all statements first (simultaneous semantics).
-        if max_workers is not None and max_workers > 1 and len(labels) > 1:
-            by_label = _supervised_fan_out(
-                statement_updates, labels, max_workers
-            )
-        else:
-            by_label = [statement_updates(label) for label in labels]
-        updates = dict(zip(labels, by_label))
+    if max_workers is not None and max_workers > 1 and len(labels) > 1:
+        by_label = _supervised_fan_out(statement_updates, labels, max_workers)
+    else:
+        by_label = [statement_updates(label) for label in labels]
+    return dict(zip(labels, by_label))
 
+
+def parallel_changes(
+    method: AlgebraicUpdateMethod,
+    database: Database,
+    receivers: Iterable[Receiver],
+    cache: Optional[EngineCache] = None,
+    max_workers: Optional[int] = None,
+) -> Dict[str, RelationDelta]:
+    """``M_par(I, T)`` on the relational representation of ``I``.
+
+    Returns the change set only: property relation names (``C.a``)
+    mapped to the exact :class:`~repro.relational.delta.RelationDelta`
+    of the transition, normalized against ``database`` (insertions
+    absent before, deletions present before).  By Proposition 5.1 this
+    is Definition 6.2 itself: ``par(E_a)`` is evaluated over
+    ``database`` plus ``rec``, and each receiving object's old
+    ``a``-values — read from ``C.a`` in one pass — are replaced by the
+    new ones.  ``database.apply_delta(changes)`` equals
+    ``instance_to_database(apply_parallel(method, I, receivers))``.
+
+    The written rows keep the representation's inclusion dependencies:
+    a value outside the target class raises :class:`UpdateTypeError`,
+    and a new ``a``-value for a receiving object absent from ``C``
+    raises :class:`~repro.graph.schema.SchemaError`, as
+    :meth:`~repro.graph.instance.Instance.replace_property` does.  This
+    is the write path of the versioned store; ``apply_parallel`` is the
+    graph-based reference.
+    """
+    receivers = list(receivers)
+    schema = method.object_schema
+    with _batch_span(method, receivers, max_workers) as batch:
+        updates = _statement_updates(
+            method, database, receivers, cache, max_workers
+        )
         receiving_objects = {r.receiving_object for r in receivers}
-        result = instance
-        schema = method.object_schema
         changes: Dict[str, RelationDelta] = {}
         for label, by_receiver in updates.items():
+            name = property_relation_name(schema, label)
+            old: Dict[Obj, Set[Obj]] = {}
+            for source, value in database.relation(name):
+                if source in receiving_objects:
+                    old.setdefault(source, set()).add(value)
+            extent = database.relation(
+                class_relation_name(schema.edge(label).source)
+            ).tuples
             inserted: Set[Tuple[Obj, Obj]] = set()
             deleted: Set[Tuple[Obj, Obj]] = set()
             for obj in receiving_objects:
-                values = frozenset(by_receiver.get(obj, ()))
-                old_values = instance.property_values(obj, label)
-                result = result.replace_property(obj, label, values)
-                inserted.update((obj, v) for v in values - old_values)
+                values = by_receiver.get(obj, set())
+                old_values = old.get(obj, set())
+                added = values - old_values
+                if added and (obj,) not in extent:
+                    raise SchemaError(
+                        f"dangling edge {Edge(obj, label, min(added))}"
+                    )
+                inserted.update((obj, v) for v in added)
                 deleted.update((obj, v) for v in old_values - values)
             if inserted or deleted:
-                changes[property_relation_name(schema, label)] = (
-                    RelationDelta(frozenset(inserted), frozenset(deleted))
+                changes[name] = RelationDelta(
+                    frozenset(inserted), frozenset(deleted)
                 )
         batch.set(changed_relations=len(changes))
-    return result, changes
+    return changes
 
 
 def apply_parallel(
@@ -332,7 +386,11 @@ def apply_parallel(
     cache: Optional[EngineCache] = None,
     max_workers: Optional[int] = None,
 ) -> Instance:
-    """``M_par(I, T)`` (Definition 6.2).
+    """``M_par(I, T)`` (Definition 6.2) on the object-base graph.
+
+    The reference the relational write path (:func:`parallel_changes`)
+    is checked against: the same ``par(E_a)`` evaluation, written back
+    edge by edge through :meth:`Instance.replace_property`.
 
     Pass a shared ``cache`` when applying several ``M_par`` across
     related states: subtrees whose base relations kept their content
@@ -345,9 +403,23 @@ def apply_parallel(
     engine's memo — a subtree raced by two statements is at worst
     computed twice (both arrive at the same relation), never wrongly.
     """
-    return parallel_changes(
-        method, instance, receivers, cache=cache, max_workers=max_workers
-    )[0]
+    receivers = list(receivers)
+    with _batch_span(method, receivers, max_workers):
+        updates = _statement_updates(
+            method,
+            instance_to_database(instance),
+            receivers,
+            cache,
+            max_workers,
+        )
+        receiving_objects = {r.receiving_object for r in receivers}
+        result = instance
+        for label, by_receiver in updates.items():
+            for obj in receiving_objects:
+                result = result.replace_property(
+                    obj, label, by_receiver.get(obj, ())
+                )
+    return result
 
 
 def choose_apply_mode(

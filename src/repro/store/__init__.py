@@ -4,9 +4,10 @@ The persistence and concurrency layer over the paper's update-method
 machinery:
 
 - :mod:`repro.store.versioned` — copy-on-write MVCC versions and
-  pinned snapshots over :class:`~repro.relational.database.Database` /
-  :class:`~repro.graph.instance.Instance` pairs, with engine caches
-  (PR 2 content fingerprints) shared across versions.
+  pinned snapshots over :class:`~repro.relational.database.Database`
+  states (the :class:`~repro.graph.instance.Instance` is a lazily
+  derived view), with engine caches (PR 2 content fingerprints) shared
+  across versions.
 - :mod:`repro.store.wal` — append-only checksummed JSON-lines
   write-ahead log with checkpoints and compaction.
 - :mod:`repro.store.recovery` — torn-tail truncation and replay to the

@@ -1,7 +1,7 @@
 """Coloring-derived partitioning of an object base into shard regions.
 
-A :class:`Partitioning` splits the relational image of an instance in
-two:
+A :class:`Partitioning` splits the relational representation of an
+object base (its ``Database``) in two:
 
 * **partitioned relations** — the *extents* of the partition classes
   and their ``C.a`` property relations.  Rows are keyed by the leading
@@ -17,11 +17,13 @@ two:
   shard-local evaluation that only *reads* replicated relations reads
   exactly what a global evaluation would.
 
-Partitioning the extents (not just the property edges) is what makes a
-shard's working set genuinely ``~1/N`` of the global one: the per-
-receiver cost of ``M_par``'s property replacement is dominated by the
-instance it walks, so replicating every object would put a floor of
-``O(V)`` under each shard no matter how the edges split.
+:meth:`Partitioning.slice_database` cuts shard ``k``'s slice straight
+from the coordinator's database: replicated relations are shared as
+they are, partitioned ones keep the rows whose leading object ``k``
+owns, and a partition-class extent also *borrows* every foreign object
+a kept row points at, so the slice satisfies the representation's
+inclusion dependencies (``C.a[a] <= B[B]``) and stays a valid object
+base.
 
 Object-to-shard assignment uses a content hash (CRC-32 of the object's
 class and key representation), not Python's ``hash`` — the assignment
@@ -41,14 +43,16 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from repro.coloring.regions import UpdateRegion
 from repro.core.receiver import Receiver
-from repro.graph.instance import Instance, Obj
+from repro.graph.instance import Obj
 from repro.graph.schema import Schema, SchemaError
-from repro.objrel.mapping import property_relation_name
+from repro.objrel.mapping import class_relation_name, property_relation_name
+from repro.relational.database import Database
 from repro.relational.delta import RelationDelta
+from repro.relational.relation import Relation
 from repro.store.versioned import StoreError
 
 
@@ -156,38 +160,52 @@ class Partitioning:
         return None
 
     # -- slicing -------------------------------------------------------
-    def slice_instance(self, instance: Instance, shard: int) -> Instance:
-        """Shard ``shard``'s sub-instance.
+    def slice_database(self, database: Database, shard: int) -> Database:
+        """Shard ``shard``'s slice of an object base's ``database``.
 
-        Kept: every non-partition-class object, the shard's *own*
-        partition-class objects, partitioned property edges whose
-        source the shard owns, every replicated edge — plus any foreign
-        partition-class object some kept edge points at (a *borrow*:
-        present in the extent so the sub-instance stays schema-valid,
-        but carrying none of its own partitioned edges).  The slice is
-        ``~1/N`` of the global instance in both objects and edges.
+        Replicated relations are shared unchanged.  A partitioned
+        property relation keeps the rows whose source the shard owns; a
+        partition-class extent keeps the shard's own objects plus every
+        foreign one some kept row points at (a *borrow*: present in the
+        extent so the slice keeps ``C.a[a] <= B[B]``, but carrying none
+        of its own partitioned rows).  The slice is ``~1/N`` of the
+        partitioned rows.
         """
-        partitioned_labels = {
-            edge.label
-            for edge in self.schema.edges
-            if edge.source in self.partition_classes
-        }
-        edges = [
-            edge
-            for edge in instance.edges
-            if edge.label not in partitioned_labels
-            or self.shard_of_object(edge.source) == shard
-        ]
-        nodes = {
-            node
-            for node in instance.nodes
-            if node.cls not in self.partition_classes
-            or self.shard_of_object(node) == shard
-        }
-        for edge in edges:
-            nodes.add(edge.source)
-            nodes.add(edge.target)
-        return Instance(self.schema, nodes, edges)
+        owners: Dict[Obj, int] = {}
+
+        def owned(obj: Obj) -> bool:
+            owner = owners.get(obj)
+            if owner is None:
+                owner = owners[obj] = self.shard_of_object(obj)
+            return owner == shard
+
+        def kept(name: str, keep: Callable[[Obj], bool]) -> Relation:
+            relation = database.relation(name)
+            return Relation._from_rows(
+                relation.schema, [row for row in relation if keep(row[0])]
+            )
+
+        relations: Dict[str, Relation] = {}
+        borrowed: Dict[str, set] = {cls: set() for cls in self.partition_classes}
+        for edge in self.schema.edges:
+            name = property_relation_name(self.schema, edge.label)
+            relations[name] = (
+                kept(name, owned)
+                if edge.source in self.partition_classes
+                else database.relation(name)
+            )
+            if edge.target in self.partition_classes:
+                borrowed[edge.target].update(
+                    target for _, target in relations[name]
+                )
+        for cls in self.schema.class_names:
+            name = class_relation_name(cls)
+            relations[name] = (
+                kept(name, lambda obj: obj in borrowed[cls] or owned(obj))
+                if cls in self.partition_classes
+                else database.relation(name)
+            )
+        return Database(relations)
 
     def split_receivers(
         self, receivers: Iterable[Receiver]

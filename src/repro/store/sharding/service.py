@@ -10,13 +10,13 @@ escalation when a batch cannot be proven disjoint.
 Batches flow through :meth:`ShardedStore.apply_batch`:
 
 * **disjoint** route — each touched shard applies its sub-batch as a
-  local transaction over its *slice* of the instance (all objects, all
-  replicated edges, only its own partitioned edges) and returns the
-  normalized :class:`RelationDelta` change set; the front-end merges
-  the provably disjoint deltas and commits them once on the
-  coordinator.  No inter-shard coordination, and each shard's
-  ``M_par`` evaluation walks an edge set ~``N``× smaller than the
-  global one — the source of the shard-scaling win even on one core.
+  local transaction over its *slice* of the database (every replicated
+  relation, only its own partitioned rows; see
+  :meth:`~repro.store.sharding.partition.Partitioning.slice_database`)
+  and returns the normalized :class:`RelationDelta` change set; the
+  front-end merges the provably disjoint deltas and commits them once
+  on the coordinator.  No inter-shard coordination: sub-batches on
+  different shards run concurrently in their workers.
 * **cross_shard** route — 2PC-lite: the coordinator runs the batch
   through the ordinary optimistic transaction (structural-commute /
   replay / semantic tiers), its WAL record being the durable decision;
@@ -100,10 +100,10 @@ import threading
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.graph.instance import Instance
-from repro.objrel.mapping import database_to_instance, instance_to_database
 from repro.obs import flight
 from repro.obs import tracer as trace
 from repro.obs.metrics import global_registry
+from repro.relational.database import Database
 from repro.relational.delta import RelationDelta
 from repro.resilience.faults import (
     SHARD_STAGE_FENCE,
@@ -170,13 +170,12 @@ class ShardBackend:
     def __init__(
         self,
         shard: int,
-        instance: Optional[Instance],
+        database: Optional[Database],
         wal: Optional[str] = None,
         durability: str = "flush",
         epoch: int = 0,
         applied: int = 0,
         recover: bool = False,
-        schema=None,
     ) -> None:
         self.shard = shard
         self.epoch = int(epoch)
@@ -184,19 +183,19 @@ class ShardBackend:
         self.dirty = False
         self.recovered = False
         if recover:
-            self._recover(wal, durability, schema)
+            self._recover(wal, durability)
         if not self.recovered:
-            if instance is None:
+            if database is None:
                 raise ShardingError(
                     f"shard {shard} log {wal!r} is unrecoverable and "
                     "no slice was provided to rebuild from"
                 )
             self.store = VersionedStore(
-                instance=instance, wal=wal, durability=durability
+                database=database, wal=wal, durability=durability
             )
         self._persist_meta()
 
-    def _recover(self, wal, durability, schema) -> None:
+    def _recover(self, wal, durability) -> None:
         """Best-effort recovery from the shard's own WAL.
 
         Leaves :attr:`recovered` ``False`` (the caller falls back to a
@@ -216,9 +215,7 @@ class ShardBackend:
         if state.database is None:
             return
         try:
-            self.store = VersionedStore.from_wal(
-                wal, schema=schema, durability=durability
-            )
+            self.store = VersionedStore.from_wal(wal, durability=durability)
         except (OSError, StoreError, WalError):
             return
         self.recovered = True
@@ -370,13 +367,12 @@ class InlineShard:
 def _shard_worker(
     conn,
     shard: int,
-    instance: Optional[Instance],
+    database: Optional[Database],
     wal: Optional[str],
     durability: str,
     flight_path: Optional[str] = None,
     epoch: int = 0,
     recover: bool = False,
-    schema=None,
     applied: int = 0,
 ) -> None:
     """Worker-process main loop: one backend, envelopes off the pipe.
@@ -400,13 +396,12 @@ def _shard_worker(
     try:
         backend = ShardBackend(
             shard,
-            instance,
+            database,
             wal=wal,
             durability=durability,
             epoch=epoch,
             applied=applied,
             recover=recover,
-            schema=schema,
         )
     except BaseException as exc:
         backend_error = f"{type(exc).__name__}: {exc}"
@@ -509,14 +504,13 @@ class ProcessShard:
     def __init__(
         self,
         shard: int,
-        instance: Optional[Instance],
+        database: Optional[Database],
         wal: Optional[str] = None,
         durability: str = "flush",
         context=None,
         flight_path: Optional[str] = None,
         epoch: int = 0,
         recover: bool = False,
-        schema=None,
         applied: int = 0,
     ) -> None:
         ctx = context if context is not None else _mp_context()
@@ -526,8 +520,8 @@ class ProcessShard:
         self._conn = parent
         self._process = ctx.Process(
             target=_shard_worker,
-            args=(child, shard, instance, wal, durability, flight_path,
-                  epoch, recover, schema, applied),
+            args=(child, shard, database, wal, durability, flight_path,
+                  epoch, recover, applied),
             daemon=True,
             name=f"repro-shard-{shard}",
         )
@@ -630,7 +624,7 @@ class ShardedStore:
 
     def __init__(
         self,
-        instance: Instance,
+        instance: Optional[Instance],
         partition_classes: Iterable[str],
         shards: int = 2,
         mode: str = "inline",
@@ -644,8 +638,13 @@ class ShardedStore:
     ) -> None:
         if mode not in ("inline", "process"):
             raise ShardingError(f"unknown execution mode {mode!r}")
+        # ``instance`` seeds a new fleet; a recovered coordinator
+        # (``from_wal_dir``) carries the schema instead.
+        schema = (
+            instance.schema if _coordinator is None else _coordinator.schema
+        )
         self.partitioning = Partitioning(
-            instance.schema, frozenset(partition_classes), shards
+            schema, frozenset(partition_classes), shards
         )
         self.router = Router(self.partitioning)
         self.mode = mode
@@ -684,9 +683,7 @@ class ShardedStore:
                 )
                 self.recovery_report[k] = {"mode": mode_used, "rows": rows}
             else:
-                handle = self._spawn_shard(
-                    k, self.partitioning.slice_instance(instance, k)
-                )
+                handle = self._spawn_shard(k, self._slice_of_head(k))
             self._shards.append(handle)
 
     # -- construction helpers ------------------------------------------
@@ -698,12 +695,11 @@ class ShardedStore:
     def _spawn_shard(
         self,
         shard: int,
-        instance: Optional[Instance],
+        database: Optional[Database],
         recover: bool = False,
         applied: int = 0,
     ):
         wal = self._wal_path(f"shard-{shard}")
-        schema = self.partitioning.schema if recover else None
         epoch = self.supervisor.epoch(shard)
         if self.mode == "process":
             flight_path = (
@@ -713,25 +709,23 @@ class ShardedStore:
             )
             return ProcessShard(
                 shard,
-                instance,
+                database,
                 wal=wal,
                 durability=self.durability,
                 flight_path=flight_path,
                 epoch=epoch,
                 recover=recover,
-                schema=schema,
                 applied=applied,
             )
         return InlineShard(
             ShardBackend(
                 shard,
-                instance,
+                database,
                 wal=wal,
                 durability=self.durability,
                 epoch=epoch,
                 applied=applied,
                 recover=recover,
-                schema=schema,
             )
         )
 
@@ -754,17 +748,9 @@ class ShardedStore:
             )
         )
 
-    def _head_instance(self) -> Instance:
-        head = self.coordinator.head
-        if head.instance is not None:
-            return head.instance
-        return database_to_instance(
-            head.database, self.partitioning.schema
-        )
-
-    def _slice_of_head(self, shard: int) -> Instance:
-        return self.partitioning.slice_instance(
-            self._head_instance(), shard
+    def _slice_of_head(self, shard: int) -> Database:
+        return self.partitioning.slice_database(
+            self.coordinator.head.database, shard
         )
 
     def _bring_up(self, shard: int) -> Tuple[Any, str, Optional[int]]:
@@ -865,7 +851,7 @@ class ShardedStore:
                 f" ({exc})"
             ) from None
         return cls(
-            coordinator.head.instance,
+            None,
             partition_classes,
             shards=shards,
             mode=mode,
@@ -1150,7 +1136,7 @@ class ShardedStore:
             if shard in known:
                 continue
             try:
-                target_db = instance_to_database(self._slice_of_head(shard))
+                target_db = self._slice_of_head(shard)
                 current = (
                     handle.call(("dump",))
                     if handle is not None

@@ -58,6 +58,7 @@ from typing import (
 
 from repro.core.receiver import Receiver, is_key_set
 from repro.graph.instance import Instance
+from repro.objrel.mapping import database_to_instance
 from repro.obs import flight
 from repro.obs import tracer as trace
 from repro.obs.metrics import global_registry
@@ -197,7 +198,7 @@ class Transaction:
         self._operations: List[MethodApplication] = []
         self._replayable = True
         self._database = self.snapshot.database
-        self._instance = self.snapshot.instance
+        self._instance: Optional[Instance] = None
         self._engine: Optional[QueryEngine] = None
         self.attempt = 1
         self._path: Optional[str] = None
@@ -223,7 +224,15 @@ class Transaction:
 
     @property
     def instance(self) -> Optional[Instance]:
-        """The snapshot instance with this transaction's writes applied."""
+        """The snapshot instance with this transaction's writes applied.
+
+        A view of the working database, derived on first access and
+        cached until the next write; ``None`` when the store has no
+        object schema.
+        """
+        schema = self.store.schema
+        if self._instance is None and schema is not None:
+            self._instance = database_to_instance(self._database, schema)
         return self._instance
 
     def _require_active(self) -> None:
@@ -279,6 +288,7 @@ class Transaction:
         self._writes = compose_changes(self._writes, effective)
         self._database = self._database.apply_delta(effective)
         self._engine = None
+        self._instance = None
 
     def stage(self, changes: Mapping[str, RelationDelta]) -> None:
         """Stage a raw change set (normalized against the working state).
@@ -289,7 +299,6 @@ class Transaction:
         """
         self._require_active()
         self._replayable = False
-        self._instance = None
         self._stage(changes)
 
     def apply_method(
@@ -297,19 +306,14 @@ class Transaction:
         method,
         receivers: Iterable[Receiver],
         max_workers: Optional[int] = None,
-    ) -> Instance:
+    ) -> Dict[str, RelationDelta]:
         """Apply ``M_par(I, T)`` to the working state.
 
         Records the application itself (method + receivers), the read
         set of its statement expressions, and the induced property-edge
-        deltas as the write set; returns the updated working instance.
+        deltas as the write set; returns that normalized change set.
         """
         self._require_active()
-        if self._instance is None:
-            raise TransactionError(
-                "working state has no object-base instance (store was "
-                "seeded from a bare database, or raw changes were staged)"
-            )
         receivers = tuple(receivers)
         with trace.span(
             "store.txn.apply",
@@ -319,9 +323,9 @@ class Transaction:
             receivers=len(receivers),
         ):
             self._reads.update(method_read_relations(method))
-            new_instance, changes = parallel_changes(
+            changes = parallel_changes(
                 method,
-                self._instance,
+                self._database,
                 receivers,
                 cache=self.store.cache,
                 max_workers=(
@@ -332,9 +336,8 @@ class Transaction:
             self._operations.append(
                 MethodApplication(method, receivers)
             )
-            self._instance = new_instance
             self._stage(changes)
-        return new_instance
+        return changes
 
     # -- commit protocol -----------------------------------------------
     def _interferes(
@@ -421,16 +424,10 @@ class Transaction:
             combined
         )
 
-    def _replay_on(
-        self, head: Version
-    ) -> Tuple[Instance, Dict[str, RelationDelta]]:
-        """Re-execute the recorded method applications against ``head``."""
-        if head.instance is None:
-            raise TransactionError(
-                "cannot replay method applications: the store head has "
-                "no instance view"
-            )
-        current = head.instance
+    def _replay_on(self, head: Version) -> Dict[str, RelationDelta]:
+        """Re-execute the recorded method applications against ``head``;
+        returns their composed change set."""
+        database = head.database
         staged: Dict[str, RelationDelta] = {}
         with trace.span(
             "store.txn.replay",
@@ -439,15 +436,16 @@ class Transaction:
             operations=len(self._operations),
         ):
             for op in self._operations:
-                current, changes = parallel_changes(
+                changes = parallel_changes(
                     op.method,
-                    current,
+                    database,
                     op.receivers,
                     cache=self.store.cache,
                     max_workers=self.max_workers,
                 )
                 staged = compose_changes(staged, changes)
-        return current, staged
+                database = database.apply_delta(changes)
+        return staged
 
     def commit(self) -> Version:
         """Validate against the head and publish, or raise
@@ -467,9 +465,7 @@ class Transaction:
                     self._path = "fastpath"
                     span.set(path="fastpath")
                     registry.counter("store.txn.fastpath").inc()
-                    return self._publish(
-                        self._writes, self._instance
-                    )
+                    return self._publish(self._writes)
                 writes_overlap, reads_overlap = self._interferes(
                     intervening
                 )
@@ -478,7 +474,7 @@ class Transaction:
                     self._path = "structural"
                     span.set(path="structural")
                     registry.counter("store.txn.structural_commutes").inc()
-                    return self._publish(self._writes, None)
+                    return self._publish(self._writes)
                 registry.counter("store.txn.conflicts").inc()
                 if (
                     store.commutativity
@@ -493,16 +489,14 @@ class Transaction:
                     self._path = "replay"
                     span.set(path="replay")
                     registry.counter("store.txn.commute_fastpaths").inc()
-                    instance, staged = self._replay_on(head)
-                    return self._publish(staged, instance)
+                    return self._publish(self._replay_on(head))
                 if store.commutativity and self._commutes_semantically(
                     intervening
                 ):
                     self._path = "commute"
                     span.set(path="commute")
                     registry.counter("store.txn.commute_fastpaths").inc()
-                    instance, staged = self._replay_on(head)
-                    return self._publish(staged, instance)
+                    return self._publish(self._replay_on(head))
                 self._path = "abort"
                 span.set(path="abort")
                 overlap = sorted(
@@ -532,14 +526,9 @@ class Transaction:
                     f"commit(s) on {overlap}"
                 )
 
-    def _publish(
-        self,
-        changes: Mapping[str, RelationDelta],
-        instance: Optional[Instance],
-    ) -> Version:
+    def _publish(self, changes: Mapping[str, RelationDelta]) -> Version:
         version = self.store.commit_changes(
             changes,
-            instance=instance,
             operations=self._operations,
             txn_id=self.id,
         )

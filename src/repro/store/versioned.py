@@ -1,12 +1,21 @@
-"""Copy-on-write MVCC store over ``Database``/``Instance`` states.
+"""Copy-on-write MVCC store over relational ``Database`` states.
 
 A :class:`VersionedStore` holds an immutable chain of
-:class:`Version` objects.  Committing never mutates anything: a new
+:class:`Version` objects, each one ``Database`` plus the change set
+that produced it.  Committing never mutates anything: a new
 version's database shares every unchanged relation (and its cached
 content fingerprint) with its parent through
 :meth:`~repro.relational.database.Database.apply_delta`, so concurrent
 readers pin snapshots without blocking writers, and writers pay only
 for the relations they touch.
+
+The object-base instance of a version is a *view*, not stored state:
+when the store knows its object schema, :attr:`Version.instance`
+derives it with :func:`~repro.objrel.mapping.database_to_instance` on
+first access and caches it (Proposition 5.1 makes the two
+representations interchangeable).  Writes never need it —
+:func:`~repro.parallel.apply.parallel_changes` computes ``M_par`` on
+the database.
 
 Versions are keyed two ways:
 
@@ -44,15 +53,11 @@ from typing import (
     Union,
 )
 
-from repro.graph.instance import Edge, Instance
+from repro.graph.instance import Instance
 from repro.graph.schema import Schema
 from repro.obs import tracer as trace
 from repro.obs.metrics import global_registry
-from repro.objrel.mapping import (
-    database_to_instance,
-    instance_to_database,
-    property_relation_name,
-)
+from repro.objrel.mapping import database_to_instance, instance_to_database
 from repro.relational.database import Database
 from repro.relational.delta import RelationDelta, normalize_changes
 from repro.relational.engine import EngineCache, QueryEngine
@@ -89,7 +94,6 @@ class Version:
 
     version: int
     database: Database
-    instance: Optional[Instance]
     changes: Mapping[str, RelationDelta]
     """The normalized delta from the parent version (empty for the root)."""
 
@@ -97,6 +101,25 @@ class Version:
     """The method applications whose effects this version commits."""
 
     txn_id: Optional[int] = None
+
+    schema: Optional[Schema] = field(default=None, repr=False, compare=False)
+    """The object schema the database represents (``None``: none known)."""
+
+    _instance: Optional[Instance] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def instance(self) -> Optional[Instance]:
+        """The object-base view of :attr:`database`, derived on first
+        access and cached; ``None`` when the store has no object schema."""
+        if self._instance is None and self.schema is not None:
+            object.__setattr__(
+                self,
+                "_instance",
+                database_to_instance(self.database, self.schema),
+            )
+        return self._instance
 
     def fingerprints(self) -> Dict[str, int]:
         """Per-relation content fingerprints — the engine-cache key."""
@@ -173,36 +196,15 @@ class Snapshot:
         return False
 
 
-def _advance_instance(
-    instance: Instance, changes: Mapping[str, RelationDelta]
-) -> Optional[Instance]:
-    """``instance`` with a property-edge change set applied, or ``None``
-    when the changes touch class extents (full reconstruction needed)."""
-    schema: Schema = instance.schema
-    property_names = {
-        property_relation_name(schema, edge.label): edge.label
-        for edge in schema.edges
-    }
-    if not set(changes) <= set(property_names):
-        return None
-    added: List[Edge] = []
-    removed: List[Edge] = []
-    for name, delta in changes.items():
-        label = property_names[name]
-        added.extend(Edge(s, label, t) for s, t in delta.inserted)
-        removed.extend(Edge(s, label, t) for s, t in delta.deleted)
-    return instance.without_edges(removed).with_edges(added)
-
-
 class VersionedStore:
     """The MVCC object-base store.
 
     Parameters
     ----------
     instance:
-        Seed the store from an object-base instance (the relational
-        state is derived via ``instance_to_database`` and both views are
-        maintained in step).
+        Seed the store from an object-base instance: it is converted
+        once (``instance_to_database``) and only its schema is kept, so
+        versions can derive their instance view on demand.
     database:
         Seed from a bare relational state (no instance view).
     wal:
@@ -251,8 +253,10 @@ class VersionedStore:
             raise StoreError(
                 "seed the store with exactly one of instance= or database="
             )
+        self.schema: Optional[Schema] = None
         if instance is not None:
             database = instance_to_database(instance)
+            self.schema = instance.schema
         if isinstance(wal, str):
             wal = WriteAheadLog(
                 wal, durability=durability, group_commit=group_commit
@@ -271,10 +275,7 @@ class VersionedStore:
         self._summaries: Dict[int, VersionSummary] = {}
         self._next_txn_id = 0
         root = Version(
-            version=0,
-            database=database,
-            instance=instance,
-            changes={},
+            version=0, database=database, changes={}, schema=self.schema
         )
         self._versions: List[Version] = [root]
         self._by_id: Dict[int, Version] = {0: root}
@@ -300,19 +301,15 @@ class VersionedStore:
         The torn tail (if any) is truncated, the latest checkpoint plus
         subsequent commits replay into the head database, and the store
         resumes committing at the recovered version.  Pass ``schema`` to
-        rebuild the object-base instance view as well.
+        give versions their (lazily derived) object-base instance view.
         """
         from repro.store.recovery import recover
 
         state = recover(path, truncate=True)
         if state.database is None:
             raise StoreError(f"log {path!r} holds no recoverable state")
-        instance = (
-            database_to_instance(state.database, schema)
-            if schema is not None
-            else None
-        )
         store = cls.__new__(cls)
+        store.schema = schema
         store.wal = WriteAheadLog(
             path, durability=durability, group_commit=group_commit
         )
@@ -331,8 +328,8 @@ class VersionedStore:
         root = Version(
             version=state.version,
             database=state.database,
-            instance=instance,
             changes={},
+            schema=schema,
         )
         store._versions = [root]
         store._by_id = {root.version: root}
@@ -413,7 +410,6 @@ class VersionedStore:
     def commit_changes(
         self,
         changes: Mapping[str, RelationDelta],
-        instance: Optional[Instance] = None,
         operations: Iterable[MethodApplication] = (),
         txn_id: Optional[int] = None,
     ) -> Version:
@@ -438,21 +434,13 @@ class VersionedStore:
             if not effective:
                 return head
             number = head.version + 1
-            database = head.database.apply_delta(effective)
-            new_instance: Optional[Instance] = instance
-            if new_instance is None and head.instance is not None:
-                new_instance = _advance_instance(head.instance, effective)
-                if new_instance is None:
-                    new_instance = database_to_instance(
-                        database, head.instance.schema
-                    )
             version = Version(
                 version=number,
-                database=database,
-                instance=new_instance,
+                database=head.database.apply_delta(effective),
                 changes=effective,
                 operations=tuple(operations),
                 txn_id=txn_id,
+                schema=self.schema,
             )
             lsn: Optional[int] = None
             if self.wal is not None:

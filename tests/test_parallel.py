@@ -14,12 +14,19 @@ from repro.algebraic.specimens import tc_schema, transitive_closure_method
 from repro.core.receiver import Receiver, is_key_set, receivers_over
 from repro.core.sequential import apply_sequence
 from repro.graph.instance import Edge, Instance, Obj
+from repro.algebraic.expression import UpdateTypeError
+from repro.algebraic.method import AlgebraicUpdateMethod
+from repro.core.signature import MethodSignature
+from repro.graph.schema import SchemaError, drinker_bar_beer_schema
+from repro.objrel.mapping import instance_to_database
 from repro.parallel.apply import (
     apply_parallel,
     lemma_6_7_holds,
+    parallel_changes,
     parallel_update_relation,
     rec_relation,
 )
+from repro.relational.algebra import Rel, Rename
 from repro.parallel.transform import par_db_schema, par_transform, rec_schema
 from repro.relational.evaluate import infer_schema
 from repro.relational.relation import RelationError
@@ -211,6 +218,48 @@ class TestRecRelation:
         )
         assert set(relation.schema.names) == {"self", "frequents"}
         assert relation.tuples == {(MARY, CHEERS)}
+
+
+# ----------------------------------------------------------------------
+# The relational write path against the graph reference
+# ----------------------------------------------------------------------
+class TestRelationalWritePath:
+    @staticmethod
+    def frequents_arg1():
+        """``frequents := arg1``: the value is whatever ``arg1`` names."""
+        schema = drinker_bar_beer_schema()
+        signature = MethodSignature(["Drinker", "Bar"])
+        return AlgebraicUpdateMethod(
+            schema,
+            signature,
+            {"frequents": Rename(Rel("arg1"), "arg1", "frequents")},
+        )
+
+    def test_value_outside_the_target_class_raises_on_both_paths(self):
+        method = self.frequents_arg1()
+        instance = figure_1_instance()
+        nowhere = Obj("Bar", "Nowhere")
+        assert not instance.has_node(nowhere)
+        receivers = [Receiver([MARY, nowhere])]
+        with pytest.raises(UpdateTypeError):
+            apply_parallel(method, instance, receivers)
+        with pytest.raises(UpdateTypeError):
+            parallel_changes(
+                method, instance_to_database(instance), receivers
+            )
+
+    def test_receiving_object_outside_its_class_raises_on_both_paths(self):
+        method = self.frequents_arg1()
+        instance = figure_1_instance()
+        ghost = Obj("Drinker", "Ghost")
+        assert not instance.has_node(ghost)
+        receivers = [Receiver([ghost, CHEERS])]
+        with pytest.raises(SchemaError, match="dangling edge"):
+            apply_parallel(method, instance, receivers)
+        with pytest.raises(SchemaError, match="dangling edge"):
+            parallel_changes(
+                method, instance_to_database(instance), receivers
+            )
 
 
 # ----------------------------------------------------------------------

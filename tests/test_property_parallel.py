@@ -8,8 +8,17 @@ from hypothesis import strategies as st
 from repro.algebraic.sufficient import satisfies_prop_5_8
 from repro.core.sequential import apply_sequence
 from repro.graph.schema import Schema
-from repro.parallel.apply import apply_parallel, lemma_6_7_holds
-from repro.workloads.instances import random_instance, random_key_set
+from repro.objrel.mapping import instance_to_database
+from repro.parallel.apply import (
+    apply_parallel,
+    lemma_6_7_holds,
+    parallel_changes,
+)
+from repro.workloads.instances import (
+    random_instance,
+    random_key_set,
+    random_receiver_set,
+)
 from repro.workloads.methods import random_positive_method
 
 SCHEMA = Schema(
@@ -18,15 +27,17 @@ SCHEMA = Schema(
 )
 
 
-def make_case(seed):
+def make_case(seed, n_statements=1, receiver_set=random_key_set):
     rng = random.Random(seed)
-    method = random_positive_method(rng, SCHEMA, depth=1)
+    method = random_positive_method(
+        rng, SCHEMA, depth=1, n_statements=n_statements
+    )
     if method is None:
         return None
     instance = random_instance(
         rng, SCHEMA, objects_per_class=3, edge_probability=0.5
     )
-    receivers = random_key_set(rng, instance, method.signature, size=3)
+    receivers = receiver_set(rng, instance, method.signature, size=3)
     if len(receivers) < 2:
         return None
     return method, instance, receivers
@@ -70,3 +81,31 @@ def test_proposition_6_3_singletons(seed):
     assert apply_parallel(method, instance, [receiver]) == method.apply(
         instance, receiver
     )
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([random_key_set, random_receiver_set]),
+    st.sampled_from([1, 2]),
+)
+@settings(max_examples=80, deadline=None)
+def test_relational_m_par_matches_the_graph_reference(
+    seed, receiver_set, n_statements
+):
+    """Prop. 5.1: ``M_par`` on the database, as a change set, lands on
+    the representation of the graph ``M_par`` — for key sets and for
+    arbitrary (non-key) receiver sets, with one statement or two fanned
+    out to worker threads."""
+    case = make_case(seed, n_statements, receiver_set)
+    if case is None:
+        return
+    method, instance, receivers = case
+    database = instance_to_database(instance)
+    changes = parallel_changes(method, database, receivers, max_workers=2)
+    assert database.apply_delta(changes) == instance_to_database(
+        apply_parallel(method, instance, receivers)
+    )
+    for name, delta in changes.items():  # normalized against the base
+        rows = database.relation(name).tuples
+        assert not delta.inserted & rows
+        assert delta.deleted <= rows

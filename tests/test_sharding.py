@@ -21,7 +21,8 @@ from repro.coloring.regions import method_region
 from repro.core.receiver import Receiver
 from repro.core.sequential import apply_sequence
 from repro.graph.instance import Obj
-from repro.objrel.mapping import instance_to_database
+from repro.graph.schema import SchemaError
+from repro.objrel.mapping import database_to_instance, instance_to_database
 from repro.obs import flight
 from repro.obs.metrics import global_registry
 from repro.parallel.apply import apply_parallel, apply_parallel_transactional
@@ -117,15 +118,12 @@ class TestPartitioning:
         partitioning = Partitioning(
             instance.schema, frozenset({"Employee"}), 3
         )
-        slices = [
-            partitioning.slice_instance(instance, k) for k in range(3)
-        ]
         whole = instance_to_database(instance)
+        slices = [
+            partitioning.slice_database(whole, k) for k in range(3)
+        ]
         for name in ("Employee.salary", "Employee.manager"):
-            rows = [
-                instance_to_database(s).relation(name).tuples
-                for s in slices
-            ]
+            rows = [s.relation(name).tuples for s in slices]
             # Disjoint, and their union is the global relation.
             assert sum(len(r) for r in rows) == len(
                 frozenset().union(*rows)
@@ -133,24 +131,26 @@ class TestPartitioning:
             assert frozenset().union(*rows) == whole.relation(name).tuples
         for s in slices:  # replicated relations are full copies
             assert (
-                instance_to_database(s).relation("NewSal.old").tuples
+                s.relation("NewSal.old").tuples
                 == whole.relation("NewSal.old").tuples
             )
         # The partitioned extent reunites too (borrows are a subset of
-        # other shards' owned rows), and every slice is a strict
-        # sub-instance — the source of the shard-scaling win.
-        extents = [
-            instance_to_database(s).relation("Employee").tuples
-            for s in slices
-        ]
+        # other shards' owned rows), and every slice is strictly smaller
+        # than the whole in each partitioned relation.
+        extents = [s.relation("Employee").tuples for s in slices]
         assert frozenset().union(*extents) == whole.relation(
             "Employee"
         ).tuples
         assert all(
-            len(s.nodes) < len(instance.nodes)
-            and len(s.edges) < len(instance.edges)
+            len(s.relation(name)) < len(whole.relation(name))
             for s in slices
+            for name in partitioning.partitioned_relations
         )
+        # Borrows keep every slice a valid object base: the inclusion
+        # dependencies hold, so the instance view can be derived.
+        for s in slices:
+            sub = database_to_instance(s, instance.schema)
+            assert instance_to_database(sub) == s
 
     def test_split_then_merge_changes_roundtrips(self):
         partitioning = Partitioning(
@@ -379,6 +379,78 @@ def test_resync_heals_a_diverged_shard():
         # Resync is idempotent: healing a healthy shard is a no-op.
         store.resync_shard(0)
         store.verify_consistent()
+    finally:
+        store.close()
+
+
+def test_receiver_outside_the_object_base_fails_the_batch():
+    """``C.a[C] <= C[C]`` on the shard path: a (B') batch naming an
+    employee that is not in the object base fails as a whole — no
+    dangling salary row reaches the coordinator, and the shard that
+    applied the batch's valid receiver is rolled back to the head."""
+    instance, receivers = sharded_company(n_employees=32, seed=3)
+    store = ShardedStore(instance, ["Employee"], shards=2, mode="inline")
+    partitioning = store.partitioning
+    ghost = Receiver(
+        [Obj("Employee", 99999), receivers[0].arguments[0]]
+    )
+    valid = next(
+        r
+        for r in receivers
+        if partitioning.shard_of_receiver(r)
+        != partitioning.shard_of_receiver(ghost)
+    )
+    try:
+        head = store.coordinator.head
+        with pytest.raises(SchemaError, match="dangling edge"):
+            store.apply_batch(scenario_b_method(), [valid, ghost])
+        assert store.coordinator.head is head
+        store.verify_consistent()
+    finally:
+        store.close()
+
+
+def test_write_paths_build_no_instance(monkeypatch):
+    """Writes run on the relational state alone: with every way of
+    building an ``Instance`` disabled, disjoint and cross-shard
+    batches, a replayed explicit transaction and a full resync all
+    succeed, and the head still equals the graph fold."""
+    from repro.graph.instance import Instance
+
+    instance, receivers = sharded_company(n_employees=32, seed=6)
+    store = ShardedStore(instance, ["Employee"], shards=2, mode="inline")
+    method_b, method_c = scenario_b_method(), scenario_c_method()
+    employees = sorted({r.receiving_object for r in receivers})
+    cross = [Receiver([obj]) for obj in employees[::5]]
+    batches = [(method_b, receivers[:8]), (method_c, cross)]
+
+    def no_instance(*_args, **_kwargs):
+        raise AssertionError("an Instance was built on the write path")
+
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(Instance, "__init__", no_instance)
+            patch.setattr(Instance, "_derive", no_instance)
+            _, route = store.apply_batch(method_b, receivers[:8])
+            assert route.kind == DISJOINT
+            _, route = store.apply_batch(method_c, cross)
+            assert route.kind == CROSS_SHARD
+            # An explicit transaction overtaken on its write set only
+            # commits through the replay tier.
+            txn = store.coordinator.begin()
+            txn.apply_method(method_b, receivers[8:12])
+            store.apply_batch(method_b, receivers[12:16])
+            store.commit_transaction(txn)
+            assert txn.audit()["path"] == "replay"
+            assert store.resync_shard(0, mode="full") == "full"
+            store.verify_consistent()
+        batches += [
+            (method_b, receivers[12:16]),
+            (method_b, receivers[8:12]),
+        ]
+        assert store.coordinator.head.fingerprints() == fingerprints(
+            unsharded_fold(batches, instance)
+        )
     finally:
         store.close()
 

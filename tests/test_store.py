@@ -11,6 +11,7 @@ from repro.algebraic.query_order import receivers_from_query
 from repro.core.receiver import Receiver
 from repro.core.sequential import apply_sequence
 from repro.graph.instance import Obj
+from repro.graph.schema import SchemaError
 from repro.objrel.mapping import instance_to_database
 from repro.obs.metrics import global_registry
 from repro.parallel.apply import (
@@ -490,17 +491,28 @@ class TestParallelIntegration:
             receivers_from_query(scenario_b_receiver_query(), instance)
         )
         direct = apply_parallel(method, instance, receivers)
-        via_changes, changes = parallel_changes(
-            method, instance, receivers
-        )
-        assert via_changes == direct
+        base = instance_to_database(instance)
+        changes = parallel_changes(method, base, receivers)
         assert set(changes) == {"Employee.salary"}
         # The delta applied to the base database lands on the result.
-        base = instance_to_database(instance)
         assert (
             base.apply_delta(changes).fingerprints()
             == instance_to_database(direct).fingerprints()
         )
+
+    def test_receiver_outside_the_object_base_is_rejected(
+        self, store, method
+    ):
+        """``C.a[C] <= C[C]``: a (B') receiver whose employee is not in
+        the object base must not commit a dangling salary row."""
+        head = store.head
+        salary = receivers_of(store)[0].arguments[0]
+        ghost = Receiver([Obj("Employee", 99999), salary])
+        with pytest.raises(SchemaError, match="dangling edge"):
+            run_transaction(
+                store, lambda txn: txn.apply_method(method, [ghost])
+            )
+        assert store.head is head
 
     def test_apply_parallel_transactional(self, store, method):
         receivers = receivers_of(store)
