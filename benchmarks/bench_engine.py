@@ -19,10 +19,9 @@ Series:
   statements' read set is untouched), a fresh engine over the new state
   with the shared :class:`EngineCache` serves every subtree from the
   fingerprint-keyed memo;
-* Δ-propagation: ``delta_evaluate_many`` under the realistic
-  between-step change of a receiver sequence (the singleton ``rec``
-  swap), plus the end-to-end incremental sequence
-  ``apply_sequence_incremental`` against the cold per-step chain.
+* the sequential fold ``apply_sequence_incremental``: singleton
+  ``M_par`` steps through the store's write path, one shared cache,
+  against the graph fold ``apply_sequence``.
 
 Acceptance gates (marked ``benchmark_acceptance``, hand-timed so the
 numbers survive ``--benchmark-disable``): ``test_warm_cache_speedup``
@@ -46,7 +45,6 @@ from repro.parallel.apply import (
     parallel_database,
     parallel_statement_expression,
 )
-from repro.parallel.transform import REC
 from repro.relational.delta import RelationDelta
 from repro.relational.engine import EngineCache, QueryEngine
 from repro.relational.evaluate import evaluate as evaluate_naive
@@ -148,7 +146,7 @@ def test_ablation_sequential(benchmark, size):
 
 
 # ----------------------------------------------------------------------
-# Cross-state reuse and Δ-propagation series
+# Cross-state reuse and the sequential fold
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("size", SIZES)
 def test_cross_state_warm_engine(benchmark, size):
@@ -177,41 +175,8 @@ def test_cross_state_warm_engine(benchmark, size):
 
 
 @pytest.mark.parametrize("size", SIZES)
-def test_delta_rec_swap_engine(benchmark, size):
-    """delta_evaluate_many under the between-step change of a receiver
-    sequence: the singleton ``rec`` swap of Lemma 6.7 steps."""
-    method, instance, receivers, _, _ = par_workload(size)
-    database = parallel_database(method, instance, receivers[:1])
-    exprs = [
-        parallel_statement_expression(method, label)
-        for label in method.updated_properties
-    ]
-    engine = QueryEngine(database)
-    for expr in exprs:
-        engine.evaluate(expr)
-    old_rec = database.relation(REC).tuples
-    new_rec = frozenset({tuple(receivers[1].objects)})
-    changes = {REC: RelationDelta(new_rec - old_rec, old_rec - new_rec)}
-    updated = database.apply_delta(changes)
-    reference = [evaluate_naive(expr, updated) for expr in exprs]
-    # Seed the Δ-memo once so the series measures the steady state
-    # (pure Δ-rules, no structural fallbacks).
-    engine.delta_evaluate_many(exprs, changes, new_database=updated)
-
-    results = measure(
-        benchmark,
-        f"engine.delta_rec_swap[{size}]",
-        lambda: engine.delta_evaluate_many(
-            exprs, changes, new_database=updated
-        ),
-    )
-    assert results == reference
-    assert engine.stats.delta_fast_paths > 0
-
-
-@pytest.mark.parametrize("size", SIZES)
 def test_ablation_incremental_sequence(benchmark, size):
-    """End-to-end M(I, t1..tn) by incremental singleton-M_par steps."""
+    """End-to-end M(I, t1..tn) as a fold of singleton-M_par steps."""
     method, instance, receivers, _, _ = par_workload(size)
     result = measure(
         benchmark,

@@ -58,7 +58,7 @@ def _default_flight_state():
 
 def _battery_runner():
     """The skewed battery as a zero-arg callable (cold engine per run)."""
-    battery = skewed_join_battery(rows=ROWS, classes=32, delta_steps=0)
+    battery = skewed_join_battery(rows=ROWS, classes=32)
 
     def run():
         engine = QueryEngine(battery.database)

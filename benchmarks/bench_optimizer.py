@@ -1,5 +1,5 @@
 """Ablation: naive evaluation vs the optimizing evaluator — and the
-optimizer-v2 series (stats feedback, plan cache, fused Δ-regions).
+optimizer-v2 series (stats feedback, plan cache).
 
 DESIGN.md calls out that the paper's "parallel is more efficient" claim
 presumes an optimizer.  This ablation quantifies it: the same ``par(E)``
@@ -13,9 +13,7 @@ The optimizer-v2 half measures the skewed-join battery
   and after the :class:`StatsCatalog` has learned the correlated-
   predicate correction, plus the session's replan count;
 * *plan-cache gate* (``benchmark_acceptance``) — repeated workload
-  re-planning hit rate >= 90% with zero replans;
-* *fused-delta gate* — the battery's delta steps keep
-  ``delta_fallbacks`` at 0 (no structural-fallback cliff for σ(×)).
+  re-planning hit rate >= 90% with zero replans.
 """
 
 import math
@@ -79,7 +77,7 @@ def test_optimized_evaluation(benchmark, size):
 
 
 # ----------------------------------------------------------------------
-# Optimizer v2: stats feedback, plan cache, fused Δ-regions
+# Optimizer v2: stats feedback, plan cache
 # ----------------------------------------------------------------------
 def _estimate_error(observations, signature):
     """Mean ``|log2(actual/estimated)|`` of the recorded join
@@ -158,29 +156,3 @@ def test_plan_cache_hit_rate_gate():
     assert hit_rate >= 0.9, (
         f"hit rate {hit_rate:.2%} ({hits} hits / {misses} misses)"
     )
-
-
-def test_fused_delta_gate():
-    """The battery's delta steps never hit the structural fallback:
-    the fused σ(×) region rule handles every step exactly."""
-    battery = skewed_join_battery(rows=20_000)
-    cache = EngineCache()
-    database = battery.database
-    engine = QueryEngine(database, cache=cache)
-    for query in battery.queries:
-        engine.evaluate(query)
-
-    fallbacks = 0
-    fused = 0
-    for changes in battery.delta_steps:
-        results = engine.delta_evaluate_many(list(battery.queries), changes)
-        database = database.apply_delta(changes)
-        fallbacks += engine.stats.delta_fallbacks
-        fused = engine.stats.delta_fused_regions
-        engine = QueryEngine(database, cache=cache)
-        # Spot-check exactness of the propagated state.
-        assert results[2] == engine.evaluate(battery.projected_join)
-
-    record_timing("optimizer.delta_fused_regions", float(fused))
-    assert fallbacks == 0, f"{fallbacks} structural fallbacks on the battery"
-    assert fused > 0

@@ -11,10 +11,7 @@ cache serving the repeat, and dumps the per-operator counters.
 It then goes *across states*: after the update writes one
 ``Employee.salary`` edge, a fresh engine sharing the same
 :class:`EngineCache` serves the whole statement from the
-fingerprint-keyed memo (``cross_state_hits``), and a change to the
-statement's read set (a ``rec`` swap) is Δ-propagated through the
-operators (``delta_fast_paths`` / ``delta_fallbacks``) instead of
-re-evaluated.
+fingerprint-keyed memo (``cross_state_hits``).
 
 Run:  python examples/engine_explain.py
 """
@@ -25,8 +22,7 @@ from repro.parallel.apply import (
     parallel_database,
     parallel_statement_expression,
 )
-from repro.parallel.transform import REC
-from repro.relational.delta import RelationDelta, single_row_change
+from repro.relational.delta import single_row_change
 from repro.relational.engine import EngineCache, QueryEngine
 from repro.sqlsim.scenarios import make_company, tables_to_instance
 from repro.sqlsim.scenarios import scenario_b_method
@@ -76,21 +72,6 @@ def main() -> None:
     )
     print(fresh.explain(expr))
     print(f"cross-state hits: {fresh.stats.cross_state_hits}")
-
-    # ------------------------------------------------------------------
-    # Δ-propagation: shrink rec to one receiver — a read-set change —
-    # and propagate it through the operators instead of re-evaluating.
-    # ------------------------------------------------------------------
-    old_rec = updated.relation(REC).tuples
-    new_rec = frozenset({tuple(receivers[0].objects)})
-    changes = {REC: RelationDelta(new_rec - old_rec, old_rec - new_rec)}
-    delta_result = fresh.delta_evaluate(expr, changes)
-    print("\n=== rec swapped to a single receiver (delta_evaluate) ===")
-    print(f"result: {len(delta_result)} (self, salary) pair(s)")
-    print(
-        f"delta: {fresh.stats.delta_fast_paths} fast path(s), "
-        f"{fresh.stats.delta_fallbacks} fallback(s)"
-    )
 
     print("\n=== engine counters (cross-state engine) ===")
     print(fresh.stats.render())

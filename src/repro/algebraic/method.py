@@ -9,10 +9,13 @@ simultaneously.
 
 Well-definedness — ``E_a(I, t)`` must be a subset of the target class —
 is undecidable in general (Lemma 5.3); this implementation checks it at
-application time and raises :class:`UpdateTypeError` on violation.
-Alternatively ``clamp=True`` intersects the result with the target class
-("another, pragmatical, solution is to use only expressions of the form
-E' intersect B").
+application time and raises :class:`UpdateTypeError` on violation, on
+the sequential path (:meth:`AlgebraicUpdateMethod.apply`) and in
+``M_par`` alike.  The paper's "pragmatical" alternative, "use only
+expressions of the form E' ∩ B", needs no flag: write the statement as
+``E' − (E' − B)``, with ``B`` the target class relation renamed to the
+output attribute of ``E'``, and every value it produces is in the class
+by construction.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ class AlgebraicUpdateMethod(UpdateMethod):
         signature: MethodSignature,
         statements: Mapping[str, Expr],
         name: str = "algebraic",
-        clamp: bool = False,
     ) -> None:
         super().__init__(signature, name)
         signature.validate(object_schema)
@@ -50,7 +52,6 @@ class AlgebraicUpdateMethod(UpdateMethod):
             raise ValueError("an algebraic method needs at least one statement")
         receiving = signature.receiving_class
         self._object_schema = object_schema
-        self._clamp = clamp
         self._output_attrs: Dict[str, str] = {}
         for label, expr in statements.items():
             edge = object_schema.edge(label)
@@ -105,14 +106,11 @@ class AlgebraicUpdateMethod(UpdateMethod):
             target_class = self._object_schema.edge(label).target
             targets = instance.objects_of_class(target_class)
             if not values <= targets:
-                if self._clamp:
-                    values = values & targets
-                else:
-                    raise UpdateTypeError(
-                        f"statement {label} := ... produced objects "
-                        f"outside class {target_class}: "
-                        f"{sorted(map(str, values - targets))}"
-                    )
+                raise UpdateTypeError(
+                    f"statement {label} := ... produced objects "
+                    f"outside class {target_class}: "
+                    f"{sorted(map(str, values - targets))}"
+                )
             new_values[label] = values
         result = instance
         for label, values in new_values.items():

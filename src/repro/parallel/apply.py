@@ -14,10 +14,8 @@ against.
 
 For *sequences* of applications, :func:`apply_sequence_incremental`
 exploits that ``M(I, t) = M_par(I, {t})`` (Lemma 6.7 on the trivially-key
-singleton set): it binds one shared :class:`EngineCache` across all
-steps and advances the engine's database by delta — the ``rec`` swap
-plus the property edges each step actually rewired — so step ``i+1`` is
-Δ-propagated from step ``i``'s results instead of re-evaluated.
+singleton set): it folds singleton :func:`parallel_changes` steps over
+the database, with one :class:`EngineCache` shared by all steps.
 
 Resilience (PR 5): :func:`apply_adaptive` runs the Theorem 5.12
 classification under a :class:`~repro.resilience.budget.Budget` and
@@ -54,6 +52,7 @@ from repro.graph.instance import Edge, Instance, Obj
 from repro.graph.schema import SchemaError
 from repro.objrel.mapping import (
     class_relation_name,
+    database_to_instance,
     instance_to_database,
     property_relation_name,
 )
@@ -545,27 +544,22 @@ def apply_sequence_incremental(
     receivers: Sequence[Receiver],
     cache: Optional[EngineCache] = None,
 ) -> Instance:
-    """``M(I, t1 ... tn)`` by incremental singleton-``M_par`` steps.
+    """``M(I, t1 ... tn)`` as a fold of singleton ``M_par`` steps.
 
     Equivalent to :func:`repro.core.sequential.apply_sequence` for
     algebraic methods: ``M(I, t) = M_par(I, {t})`` because a singleton
-    receiver set is trivially a key set (Lemma 6.7).  Where the
-    sequential fold re-evaluates every statement from scratch per step,
-    this keeps one engine pipeline across the whole sequence:
-
-    * all steps share one :class:`EngineCache` (pass ``cache`` to share
-      it further, e.g. across several sequences over related states);
-    * between steps the database advances by an explicit
-      :class:`RelationDelta` change set — the ``rec`` swap
-      ``{t_i} -> {t_i+1}`` plus the property edges step ``i`` actually
-      rewired — and the next step's ``par(E_a)`` relations are obtained
-      with :meth:`QueryEngine.delta_evaluate_many`, touching O(|Δ|)
-      operator work where the statements' subtrees were not hit.
+    receiver set is trivially a key set (Lemma 6.7).  The fold runs on
+    the relational state, through the store's write path: each step is
+    :func:`parallel_changes` on ``{t_i}`` applied to the database, all
+    steps share one :class:`EngineCache` (pass ``cache`` to share it
+    further), so subtrees a step's change did not reach are re-served,
+    and the instance is converted to a database and back once.
 
     Raises :class:`~repro.core.method.MethodUndefined` when some ``t_i``
     is not a receiver over the intermediate instance, and
     :class:`UpdateTypeError` when a statement produces values outside
-    its target class — the same failure modes as the sequential fold.
+    its target class — the same failure modes, in the same order, as
+    the sequential fold.
     """
     receivers = list(receivers)
     if len(set(receivers)) != len(receivers):
@@ -574,69 +568,15 @@ def apply_sequence_incremental(
         return instance
     if cache is None:
         cache = EngineCache()
-    schema = method.object_schema
-    labels = method.updated_properties
-    exprs = [
-        parallel_statement_expression(method, label) for label in labels
-    ]
-    current = instance
-    database: Optional[Database] = None
-    engine: Optional[QueryEngine] = None
-    relations: Optional[Sequence[Relation]] = None
-    for index, receiver in enumerate(receivers):
-        method.check_receiver(current, receiver)
-        if relations is None:
-            database = parallel_database(method, current, [receiver])
-            engine = QueryEngine(database, cache=cache)
-            relations = [engine.evaluate(expr) for expr in exprs]
-        obj = receiver.receiving_object
-        changes: Dict[str, RelationDelta] = {}
-        stepped = current
-        for label, relation in zip(labels, relations):
-            self_position, value_position = receiver_value_positions(
-                relation
-            )
-            target_class = schema.edge(label).target
-            targets = current.objects_of_class(target_class)
-            values: Set[Obj] = set()
-            for row in relation:
-                if row[self_position] != obj:
-                    continue
-                value = row[value_position]
-                if value not in targets:
-                    raise UpdateTypeError(
-                        f"parallel statement {label} produced {value} "
-                        f"outside class {target_class}"
-                    )
-                values.add(value)
-            old_values = current.property_values(obj, label)
-            stepped = stepped.replace_property(obj, label, values)
-            inserted = frozenset(
-                (obj, value) for value in values - old_values
-            )
-            deleted = frozenset(
-                (obj, value) for value in old_values - values
-            )
-            if inserted or deleted:
-                changes[property_relation_name(schema, label)] = (
-                    RelationDelta(inserted, deleted)
-                )
-        current = stepped
-        if index + 1 < len(receivers):
-            old_rec = rec_relation(method.signature, [receiver])
-            new_rec = rec_relation(
-                method.signature, [receivers[index + 1]]
-            )
-            changes[REC] = RelationDelta(
-                frozenset(new_rec.tuples - old_rec.tuples),
-                frozenset(old_rec.tuples - new_rec.tuples),
-            )
-            database = database.apply_delta(changes)
-            relations = engine.delta_evaluate_many(
-                exprs, changes, new_database=database
-            )
-            engine = QueryEngine(database, cache=cache)
-    return current
+    database = instance_to_database(instance)
+    for receiver in receivers:
+        # Algebraic methods rewrite property edges only, so a receiver
+        # is over the intermediate instance iff it is over ``instance``.
+        method.check_receiver(instance, receiver)
+        database = database.apply_delta(
+            parallel_changes(method, database, [receiver], cache=cache)
+        )
+    return database_to_instance(database, instance.schema)
 
 
 def lemma_6_7_holds(

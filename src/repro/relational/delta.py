@@ -5,37 +5,21 @@ deletions — against one named relation; a *changes* mapping
 (``Mapping[str, RelationDelta]``) describes a state transition of a
 whole database.  :meth:`~repro.relational.database.Database.apply_delta`
 applies one, sharing unchanged relations (and their cached
-fingerprints) between the states, and
-:meth:`~repro.relational.engine.QueryEngine.delta_evaluate` propagates
-one through an algebra expression with classic ΔQ rules.
+fingerprints) between the states, so an engine bound to the new state
+through a shared :class:`~repro.relational.engine.EngineCache`
+re-serves every memoized subtree the change did not reach.  ``M_par``
+(:func:`repro.parallel.apply.parallel_changes`) returns its transition
+as a change set, which is how the versioned store commits and logs it.
 
 The paper's update methods only ever move single edges of the object
 base — :func:`single_row_change` builds the corresponding one-row
 change set.
-
-:func:`substituted` supports the engine's *fused* σ/× region Δ-rule:
-the delta of a product is a union of terms, each the original factor
-list with exactly one factor replaced by its delta —
-
-    Δ⁺(R₁×…×Rₙ) = ⋃ᵢ R₁'×…×Δ⁺Rᵢ×…×Rₙ'   (primes: post-states)
-    Δ⁻(R₁×…×Rₙ) = ⋃ᵢ R₁×…×Δ⁻Rᵢ×…×Rₙ
-
-and selections commute with set difference, so σ conditions push into
-each term's join unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
 from repro.relational.database import Database
 from repro.relational.relation import Relation
@@ -85,16 +69,6 @@ def single_row_change(
     if insert:
         return {name: RelationDelta(inserted=rows)}
     return {name: RelationDelta(deleted=rows)}
-
-
-def substituted(
-    relations: Sequence[Relation], index: int, replacement: Relation
-) -> List[Relation]:
-    """The factor list with ``relations[index]`` replaced — one term of
-    the fused product Δ-rule (see the module docstring)."""
-    term = list(relations)
-    term[index] = replacement
-    return term
 
 
 def normalize_changes(

@@ -33,7 +33,7 @@ occurrence of an updated property relation.
   order, condition placement, per-step row counts — as text.
 
 An engine is *bound* to one database state, but its memo survives state
-changes through two more layers:
+changes through one more layer:
 
 * **Cross-state memoization.**  Memo entries live in a shared
   :class:`EngineCache`, keyed by ``(interned node identity, content
@@ -44,17 +44,6 @@ changes through two more layers:
   replays stop re-evaluating work their update never touched
   (``EngineStats.cross_state_hits``; ``explain`` marks such subtrees
   ``reused``).
-
-* **Delta evaluation.**  :meth:`QueryEngine.delta_evaluate` propagates
-  single-edge (or any small) insert/delete changes through
-  Select/Project/Rename/Union/Difference/Product with the classic ΔQ
-  rules, touching O(|Δ|) operator work per node instead of re-running
-  joins.  σ/× subtrees run a *fused* region rule: the product-delta
-  identity (one term per changed factor, conditions pushed into each
-  term's join) replaces per-operator propagation, so region interiors
-  need no cached anchors and the old structural-fallback cliff is gone
-  (``delta_fast_paths`` / ``delta_fallbacks`` / ``delta_fused_regions``
-  count the paths taken).
 
 Optimizer v2 adds one more layer on the hot path:
 
@@ -80,9 +69,7 @@ import time
 from dataclasses import dataclass
 from typing import (
     Dict,
-    FrozenSet,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -119,13 +106,8 @@ from repro.resilience.faults import (
     fault_point,
 )
 from repro.relational.database import Database, DatabaseSchema
-from repro.relational.delta import (
-    RelationDelta,
-    normalize_changes,
-    substituted,
-)
 from repro.relational.evaluate import infer_schema
-from repro.relational.optimizer import hash_join, join_factors
+from repro.relational.optimizer import hash_join
 from repro.relational.relation import (
     Relation,
     RelationError,
@@ -423,10 +405,6 @@ class EngineStats:
         "cache_hits",
         "cache_misses",
         "cross_state_hits",
-        "delta_fast_paths",
-        "delta_fallbacks",
-        "delta_fused_regions",
-        "delta_anchor_evals",
         "hash_build_rows",
         "plan_cache_hits",
         "plan_cache_misses",
@@ -444,10 +422,6 @@ class EngineStats:
     cache_hits = _counter_property("cache_hits")
     cache_misses = _counter_property("cache_misses")
     cross_state_hits = _counter_property("cross_state_hits")
-    delta_fast_paths = _counter_property("delta_fast_paths")
-    delta_fallbacks = _counter_property("delta_fallbacks")
-    delta_fused_regions = _counter_property("delta_fused_regions")
-    delta_anchor_evals = _counter_property("delta_anchor_evals")
     hash_build_rows = _counter_property("hash_build_rows")
     plan_cache_hits = _counter_property("plan_cache_hits")
     plan_cache_misses = _counter_property("plan_cache_misses")
@@ -481,10 +455,6 @@ class EngineStats:
             f"plans: {self.plan_cache_hits} hits / "
             f"{self.plan_cache_misses} misses / {self.replans} replans "
             f"({self.plan_cache_hit_rate:.1%} hit rate)",
-            f"delta: {self.delta_fast_paths} fast paths / "
-            f"{self.delta_fallbacks} fallbacks, "
-            f"{self.delta_fused_regions} fused regions, "
-            f"{self.delta_anchor_evals} anchor evals",
             f"{'operator':<12}{'calls':>8}{'rows in':>10}"
             f"{'rows out':>10}{'wall ms':>10}",
         ]
@@ -507,22 +477,6 @@ class _PlanEntry:
     steps: Tuple[str, ...] = ()
     children: Tuple[Expr, ...] = ()
     wall_seconds: float = 0.0
-
-
-@dataclass
-class _DeltaState:
-    """One node's Δ-propagation result: pre/post-state relations plus
-    the exact added/removed row sets of the transition (``added`` is
-    disjoint from ``old``, ``removed`` is contained in it)."""
-
-    old: Relation
-    new: Relation
-    added: FrozenSet[Tuple]
-    removed: FrozenSet[Tuple]
-
-    @property
-    def unchanged(self) -> bool:
-        return not self.added and not self.removed
 
 
 # ----------------------------------------------------------------------
@@ -548,9 +502,7 @@ class QueryEngine:
     Pass a shared :class:`EngineCache` to make the memo survive state
     changes: engines for successive states of an update sequence then
     re-serve every subtree whose referenced base relations kept their
-    content fingerprints (``stats.cross_state_hits``), and
-    :meth:`delta_evaluate` propagates small changes with ΔQ rules
-    instead of re-evaluating.
+    content fingerprints (``stats.cross_state_hits``).
     """
 
     def __init__(
@@ -635,71 +587,6 @@ class QueryEngine:
         self._render(node, 0, lines, timings, set())
         return "\n".join(lines)
 
-    def delta_evaluate(
-        self,
-        expr: Expr,
-        changes: Mapping[str, RelationDelta],
-        new_database: Optional[Database] = None,
-    ) -> Relation:
-        """Evaluate ``expr`` over this engine's state with ``changes``
-        applied, by Δ-propagation instead of re-evaluation.
-
-        ``changes`` maps relation names to
-        :class:`~repro.relational.delta.RelationDelta` insert/delete
-        sets (a single-edge update is a one-row delta).  Classic ΔQ
-        rules carry the added/removed rows through Select, Project,
-        Rename, Union, Difference and Product nodes, anchored on the
-        cached pre-state result of each node; subtrees referencing no
-        changed relation are served from the (cross-state) cache
-        outright.  Where no cached pre-state result anchors a rule, the
-        node is re-evaluated in full — fingerprint-guarded, and counted
-        in ``stats.delta_fallbacks``; rule applications count in
-        ``stats.delta_fast_paths``.
-
-        All post-state results (including operator-interior nodes) are
-        published into the shared :class:`EngineCache` under the
-        post-state fingerprints, so an engine bound to the new state —
-        or the next ``delta_evaluate`` step of a sequence — finds them.
-        The result is always identical to evaluating ``expr`` against
-        ``database.apply_delta(changes)`` from scratch.
-        """
-        return self.delta_evaluate_many(
-            [expr], changes, new_database=new_database
-        )[0]
-
-    def delta_evaluate_many(
-        self,
-        exprs: Sequence[Expr],
-        changes: Mapping[str, RelationDelta],
-        new_database: Optional[Database] = None,
-    ) -> List[Relation]:
-        """:meth:`delta_evaluate` for several expressions, sharing one
-        Δ-memo so subtrees common to the expressions propagate once."""
-        nodes = [self.intern(expr) for expr in exprs]
-        effective = normalize_changes(self._database, changes)
-        if not effective:
-            return [self._evaluate(node) for node in nodes]
-        if new_database is None:
-            new_database = self._database.apply_delta(effective)
-        changed = frozenset(effective)
-        memo: Dict[int, _DeltaState] = {}
-        # Per-pass accounting guard: every changed non-Rel node counts
-        # in delta_fast_paths/delta_fallbacks exactly once, even when
-        # the fused region rule handles several nodes in one go.
-        counted: Set[int] = set()
-        with trace.span(
-            "engine.delta_evaluate",
-            category="engine",
-            expressions=len(nodes),
-            changed_relations=len(changed),
-        ):
-            return [
-                self._delta(
-                    node, effective, changed, new_database, memo, counted
-                ).new
-                for node in nodes
-            ]
-
     # -- internals -----------------------------------------------------
     def _schema(self, node: Expr) -> RelationSchema:
         key = id(node)
@@ -726,8 +613,8 @@ class QueryEngine:
         shared_key = self._shared.result_key(node, self._database)
         shared = self._shared.lookup(shared_key)
         if shared is not None:
-            # Another engine (an earlier database state, or the delta
-            # evaluator) already computed this subtree over identical
+            # Another engine (e.g. one bound to an earlier database
+            # state) already computed this subtree over identical
             # base-relation contents.
             self.stats.cross_state_hits += 1
             trace.event("engine.cross_state_hit", category="engine")
@@ -802,16 +689,6 @@ class QueryEngine:
             return self._apply_node(node, rels)
         return self._evaluate(node)
 
-    # -- delta propagation ---------------------------------------------
-    def _old_result(self, node: Expr) -> Optional[Relation]:
-        """``node``'s pre-state result, if any engine computed it."""
-        relation = self._local.get(id(node))
-        if relation is not None:
-            return relation
-        return self._shared.lookup(
-            self._shared.result_key(node, self._database)
-        )
-
     @staticmethod
     def _apply_node(node: Expr, child_rels: Sequence[Relation]) -> Relation:
         """Apply ``node``'s single operator to materialized children."""
@@ -827,289 +704,6 @@ class QueryEngine:
             return child_rels[0].project(node.attrs)
         if isinstance(node, Rename):
             return child_rels[0].rename(node.old, node.new)
-        raise TypeError(f"unknown expression node {node!r}")
-
-    def _count_delta(
-        self, node: Expr, fallback: bool, counted: Set[int]
-    ) -> None:
-        """Count one node's Δ handling, at most once per pass.
-
-        The accounting invariant (pinned by a hypothesis property): per
-        pass, ``delta_fast_paths + delta_fallbacks`` increments exactly
-        once for every distinct changed non-``Rel`` node — including
-        σ/× interiors the fused region rule handles without visiting
-        them individually."""
-        key = id(node)
-        if key in counted:
-            return
-        counted.add(key)
-        if fallback:
-            self.stats.delta_fallbacks += 1
-            trace.event("engine.delta_fallback", category="engine")
-        else:
-            self.stats.delta_fast_paths += 1
-            trace.event("engine.delta_fast_path", category="engine")
-
-    def _delta(
-        self,
-        node: Expr,
-        effective: Mapping[str, RelationDelta],
-        changed: FrozenSet[str],
-        new_db: Database,
-        memo: Dict[int, _DeltaState],
-        counted: Set[int],
-    ) -> _DeltaState:
-        key = id(node)
-        state = memo.get(key)
-        if state is not None:
-            return state
-        if not changed.intersection(self._shared.base_relations(node)):
-            # No changed base relation below: the pre-state result *is*
-            # the post-state result (served via the ordinary cache).
-            relation = self._evaluate(node)
-            state = _DeltaState(relation, relation, frozenset(), frozenset())
-            memo[key] = state
-            return state
-        if isinstance(node, Rel):
-            old = self._evaluate(node)
-            new = new_db.relation(node.name)
-            delta = effective[node.name]
-            # Base relations need no cache publication: a new-state
-            # engine serves them by name as cheaply as by memo key.
-            state = _DeltaState(old, new, delta.inserted, delta.deleted)
-            memo[key] = state
-            return state
-        if isinstance(node, (Select, Product)):
-            # σ/× regions run the fused planner-backed product-delta
-            # rule instead of per-operator propagation — the structural
-            # fallback cliff used to live exactly here.
-            return self._delta_region(
-                node, effective, changed, new_db, memo, counted
-            )
-        states = [
-            self._delta(child, effective, changed, new_db, memo, counted)
-            for child in children(node)
-        ]
-        old = self._old_result(node)
-        if old is None and isinstance(node, (Project, Rename)):
-            # No cached pre-state anchors the rule; for the unary
-            # region operators the planner evaluates the pre-state
-            # region once (hash joins, memoized, cache-seeding), so the
-            # Δ rule still runs instead of a structural fallback.
-            old = self._evaluate(node)
-            self.stats.delta_anchor_evals += 1
-        if old is None:
-            # Union/Difference with no cached pre-state result:
-            # re-apply the operator in full over the children's old and
-            # new states, and seed the shared cache so the *next* delta
-            # pass over this node runs the fast path.
-            self._count_delta(node, True, counted)
-            old = self._apply_node(node, [s.old for s in states])
-            self._shared.store(
-                self._shared.result_key(node, self._database), old
-            )
-            if all(s.unchanged for s in states):
-                state = _DeltaState(old, old, frozenset(), frozenset())
-            else:
-                new = self._apply_node(node, [s.new for s in states])
-                state = _DeltaState(
-                    old,
-                    new,
-                    frozenset(new.tuples - old.tuples),
-                    frozenset(old.tuples - new.tuples),
-                )
-        else:
-            self._count_delta(node, False, counted)
-            added, removed = self._delta_rule(node, old, states)
-            new = old._updated_exact(added, removed)
-            state = _DeltaState(old, new, added, removed)
-        self._shared.store(
-            self._shared.result_key(node, new_db), state.new
-        )
-        memo[key] = state
-        return state
-
-    def _delta_region(
-        self,
-        node: Expr,
-        effective: Mapping[str, RelationDelta],
-        changed: FrozenSet[str],
-        new_db: Database,
-        memo: Dict[int, _DeltaState],
-        counted: Set[int],
-    ) -> _DeltaState:
-        """The fused Δ-rule for one maximal σ/× region.
-
-        Flattens ``node`` through Select/Product only (Project/Rename
-        children stay factors and are Δ-propagated recursively), then
-        applies the product-delta identity — one term per changed
-        factor, the term being the factor list with that factor
-        replaced by its added (resp. removed) rows, post-states (resp.
-        pre-states) elsewhere — with every σ condition pushed into the
-        term's join (selections commute with set difference, so
-        filtering term-wise is exact).  Each term is a join over one
-        small delta, planned by :func:`join_factors`, instead of a
-        structural re-application of the whole region."""
-        factors: List[Expr] = []
-        conditions: List[Condition] = []
-        interior: List[Expr] = []
-
-        def flatten(sub: Expr) -> None:
-            if isinstance(sub, Select):
-                interior.append(sub)
-                flatten(sub.child)
-                conditions.append((sub.left, sub.right, sub.equal))
-            elif isinstance(sub, Product):
-                interior.append(sub)
-                flatten(sub.left)
-                flatten(sub.right)
-            else:
-                factors.append(sub)
-
-        flatten(node)
-        states = [
-            self._delta(f, effective, changed, new_db, memo, counted)
-            for f in factors
-        ]
-        self.stats.delta_fused_regions += 1
-        trace.event("engine.delta_fused_region", category="engine")
-        shared = self._shared
-        # The fused rule handles every changed interior in one go; each
-        # still counts as one fast path (the accounting invariant is
-        # per *node*, not per rule application).
-        for sub in interior:
-            if changed.intersection(shared.base_relations(sub)):
-                self._count_delta(sub, False, counted)
-        old = self._old_result(node)
-        if old is None:
-            # Anchor on a planner-backed (memoized) pre-state
-            # evaluation — joins, not structural re-application.
-            old = self._evaluate(node)
-            self.stats.delta_anchor_evals += 1
-        if all(s.unchanged for s in states):
-            state = _DeltaState(old, old, frozenset(), frozenset())
-        else:
-            budget_tick("engine.delta_region")
-            expected = self._schema(node).names
-            olds = [s.old for s in states]
-            news = [s.new for s in states]
-            added_rows: Set[Tuple] = set()
-            removed_rows: Set[Tuple] = set()
-            for index, s in enumerate(states):
-                if s.added:
-                    term = substituted(
-                        news, index, Relation(s.old.schema, s.added)
-                    )
-                    added_rows |= self._region_term(
-                        term, conditions, expected
-                    )
-                if s.removed:
-                    term = substituted(
-                        olds, index, Relation(s.old.schema, s.removed)
-                    )
-                    removed_rows |= self._region_term(
-                        term, conditions, expected
-                    )
-            # The identities make these exact already (an added
-            # coordinate keeps a term row out of ``old``; a removed one
-            # keeps it in); the set operations are O(|Δ|) insurance
-            # that _updated_exact's invariants hold.
-            added = frozenset(added_rows - old.tuples)
-            removed = frozenset(removed_rows & old.tuples)
-            new = old._updated_exact(added, removed)
-            state = _DeltaState(old, new, added, removed)
-        shared.store(shared.result_key(node, new_db), state.new)
-        memo[id(node)] = state
-        return state
-
-    def _region_term(
-        self,
-        term: Sequence[Relation],
-        conditions: Sequence[Condition],
-        expected: Sequence[str],
-    ) -> FrozenSet[Tuple]:
-        """One product-delta term: join the factor list (conditions
-        pushed down), project to the region's schema order."""
-        if any(r.is_empty() for r in term):
-            return frozenset()
-        joined = join_factors(list(term), list(conditions))
-        if joined.schema.names != tuple(expected):
-            joined = joined.project(expected)
-        return joined.tuples
-
-    @staticmethod
-    def _delta_rule(
-        node: Expr, old: Relation, states: Sequence[_DeltaState]
-    ) -> Tuple[FrozenSet[Tuple], FrozenSet[Tuple]]:
-        """The classic set-semantics ΔQ rule for one operator node.
-
-        Returns the exact ``(added, removed)`` row sets of ``node``'s
-        transition, given its cached pre-state result ``old`` and its
-        children's Δ-states.  Work is proportional to the child deltas
-        (plus, for ``Project`` removals, one support scan of the child's
-        post-state).  ``Select``/``Product`` never reach this method —
-        ``_delta`` routes whole σ/× regions through the fused
-        ``_delta_region`` rule.
-        """
-        if isinstance(node, Rename):
-            child = states[0]
-            return child.added, child.removed
-        if isinstance(node, Project):
-            child = states[0]
-            positions = [
-                child.old.schema.position(name) for name in node.attrs
-            ]
-            p_add = {
-                tuple(row[p] for p in positions) for row in child.added
-            }
-            p_rem = {
-                tuple(row[p] for p in positions) for row in child.removed
-            }
-            added = frozenset(p_add - old.tuples)
-            # A projected row disappears only when it loses its *last*
-            # supporting child row: scan the child's post-state to keep
-            # still-supported candidates.
-            candidates = (p_rem & old.tuples) - p_add
-            if candidates:
-                for row in child.new.tuples:
-                    candidates.discard(tuple(row[p] for p in positions))
-                    if not candidates:
-                        break
-            return added, frozenset(candidates)
-        if isinstance(node, Union):
-            left, right = states
-            added = frozenset(
-                row
-                for row in left.added | right.added
-                if row not in old.tuples
-            )
-            removed = frozenset(
-                row
-                for row in left.removed | right.removed
-                if row in old.tuples
-                and row not in left.new.tuples
-                and row not in right.new.tuples
-            )
-            return added, removed
-        if isinstance(node, Difference):
-            left, right = states
-            added = frozenset(
-                row
-                for row in left.added | right.removed
-                if row in left.new.tuples
-                and row not in right.new.tuples
-                and row not in old.tuples
-            )
-            removed = frozenset(
-                row
-                for row in left.removed | right.added
-                if row in old.tuples
-                and (
-                    row not in left.new.tuples
-                    or row in right.new.tuples
-                )
-            )
-            return added, removed
         raise TypeError(f"unknown expression node {node!r}")
 
     def _render(

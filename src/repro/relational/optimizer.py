@@ -196,10 +196,6 @@ def join_factors(
     return current
 
 
-#: Backwards-compatible private alias (pre-v2 name).
-_join_factors = join_factors
-
-
 def evaluate_optimized(expr: Expr, database: Database) -> Relation:
     """Evaluate ``expr`` with selection pushdown and hash joins.
 
@@ -232,7 +228,7 @@ def evaluate_optimized(expr: Expr, database: Database) -> Relation:
             evaluate_optimized(factor, database)
             for factor in factor_exprs
         ]
-        joined = _join_factors(factors, conditions)
+        joined = join_factors(factors, conditions)
         # The greedy join may reorder attributes; restore the
         # expression's schema order.
         expected = infer_schema(expr, database.schema).names

@@ -267,33 +267,6 @@ class Relation:
             result._tuple_xor = None
         return result
 
-    def _updated_exact(
-        self, added: FrozenSet[Tuple], removed: FrozenSet[Tuple]
-    ) -> "Relation":
-        """:meth:`updated` for pre-normalized delta sets.
-
-        Internal fast path for the engine's Δ-rules, whose invariants
-        already guarantee ``added`` is disjoint from the tuples,
-        ``removed`` is contained in them, and all rows are valid tuples
-        of this schema — so normalization and validation are skipped.
-        """
-        if not added and not removed:
-            return self
-        result = Relation.__new__(Relation)
-        result._schema = self._schema
-        result._tuples = (self._tuples - removed) | added
-        result._fp = None
-        if self._tuple_xor is not None:
-            acc = self._tuple_xor
-            for row in added:
-                acc ^= tuple_fingerprint(row)
-            for row in removed:
-                acc ^= tuple_fingerprint(row)
-            result._tuple_xor = acc
-        else:
-            result._tuple_xor = None
-        return result
-
     def column(self, name: str) -> FrozenSet:
         """All values in the named column."""
         position = self._schema.position(name)

@@ -32,9 +32,13 @@ Durability rides on :mod:`repro.store.wal`: when the store owns a log,
 every commit appends its normalized change set *before* the in-memory
 chain advances (write-ahead), and :meth:`VersionedStore.checkpoint`
 snapshots the head so :func:`repro.store.recovery.recover` replays a
-bounded suffix.  Transactions (:mod:`repro.store.txn`) layer optimistic
-concurrency control — including the paper's commutativity machinery —
-on top of :meth:`begin`.
+bounded suffix.  A store is either seeded (``VersionedStore(...)``,
+root version 0) or reopened from its log
+(:meth:`VersionedStore.from_wal`, root at the recovered version); both
+set up the same fields through one initializer.  Transactions
+(:mod:`repro.store.txn`) layer optimistic concurrency control —
+including the paper's commutativity machinery — on top of
+:meth:`begin`.
 """
 
 from __future__ import annotations
@@ -230,11 +234,6 @@ class VersionedStore:
         the semantic-commute tier; a default (threshold 3, 30 s reset)
         is created when omitted.  Pass one with a huge
         ``failure_threshold`` to effectively disable it.
-    group_commit:
-        Open the WAL (path form only) in group-commit mode: appends
-        buffer, and :meth:`commit_changes` blocks on a batched fsync
-        shared across concurrent committers.  Requires
-        ``durability="fsync"``.
     """
 
     def __init__(
@@ -247,41 +246,29 @@ class VersionedStore:
         durability: str = "flush",
         decision_budget: Optional[Callable[[], Budget]] = None,
         breaker: Optional[CircuitBreaker] = None,
-        group_commit: bool = False,
     ) -> None:
         if (instance is None) == (database is None):
             raise StoreError(
                 "seed the store with exactly one of instance= or database="
             )
-        self.schema: Optional[Schema] = None
+        schema: Optional[Schema] = None
         if instance is not None:
             database = instance_to_database(instance)
-            self.schema = instance.schema
+            schema = instance.schema
         if isinstance(wal, str):
-            wal = WriteAheadLog(
-                wal, durability=durability, group_commit=group_commit
-            )
-        self.wal = wal
-        self.cache = cache if cache is not None else EngineCache()
-        self.commutativity = commutativity
-        self.decision_budget = decision_budget
-        self.breaker = (
-            breaker
-            if breaker is not None
-            else CircuitBreaker(name="store.semantic")
+            wal = WriteAheadLog(wal, durability=durability)
+        self._setup(
+            0,
+            database,
+            schema,
+            wal,
+            cache,
+            commutativity,
+            decision_budget,
+            breaker,
         )
-        self._lock = threading.RLock()
-        self._pins: Dict[int, int] = {}
-        self._summaries: Dict[int, VersionSummary] = {}
-        self._next_txn_id = 0
-        root = Version(
-            version=0, database=database, changes={}, schema=self.schema
-        )
-        self._versions: List[Version] = [root]
-        self._by_id: Dict[int, Version] = {0: root}
-        if self.wal is not None and self.wal.next_lsn == 0:
-            self.wal.append_checkpoint(0, database)
-        global_registry().gauge("store.versions").set_max(1)
+        if wal is not None and wal.next_lsn == 0:
+            wal.append_checkpoint(0, database)
 
     # -- construction from a log ---------------------------------------
     @classmethod
@@ -294,7 +281,6 @@ class VersionedStore:
         durability: str = "flush",
         decision_budget: Optional[Callable[[], Budget]] = None,
         breaker: Optional[CircuitBreaker] = None,
-        group_commit: bool = False,
     ) -> "VersionedStore":
         """Recover the head state from ``path`` and attach to the log.
 
@@ -309,32 +295,51 @@ class VersionedStore:
         if state.database is None:
             raise StoreError(f"log {path!r} holds no recoverable state")
         store = cls.__new__(cls)
-        store.schema = schema
-        store.wal = WriteAheadLog(
-            path, durability=durability, group_commit=group_commit
+        store._setup(
+            state.version,
+            state.database,
+            schema,
+            WriteAheadLog(path, durability=durability),
+            cache,
+            commutativity,
+            decision_budget,
+            breaker,
         )
-        store.cache = cache if cache is not None else EngineCache()
-        store.commutativity = commutativity
-        store.decision_budget = decision_budget
-        store.breaker = (
+        return store
+
+    def _setup(
+        self,
+        version: int,
+        database: Database,
+        schema: Optional[Schema],
+        wal: Optional[WriteAheadLog],
+        cache: Optional[EngineCache],
+        commutativity: bool,
+        decision_budget: Optional[Callable[[], Budget]],
+        breaker: Optional[CircuitBreaker],
+    ) -> None:
+        """The field setup both constructors share: a chain holding one
+        root version, ``version`` over ``database``."""
+        self.schema = schema
+        self.wal = wal
+        self.cache = cache if cache is not None else EngineCache()
+        self.commutativity = commutativity
+        self.decision_budget = decision_budget
+        self.breaker = (
             breaker
             if breaker is not None
             else CircuitBreaker(name="store.semantic")
         )
-        store._lock = threading.RLock()
-        store._pins = {}
-        store._summaries = {}
-        store._next_txn_id = 0
+        self._lock = threading.RLock()
+        self._pins: Dict[int, int] = {}
+        self._summaries: Dict[int, VersionSummary] = {}
+        self._next_txn_id = 0
         root = Version(
-            version=state.version,
-            database=state.database,
-            changes={},
-            schema=schema,
+            version=version, database=database, changes={}, schema=schema
         )
-        store._versions = [root]
-        store._by_id = {root.version: root}
+        self._versions: List[Version] = [root]
+        self._by_id: Dict[int, Version] = {version: root}
         global_registry().gauge("store.versions").set_max(1)
-        return store
 
     # -- reading -------------------------------------------------------
     @property
@@ -442,23 +447,13 @@ class VersionedStore:
                 txn_id=txn_id,
                 schema=self.schema,
             )
-            lsn: Optional[int] = None
             if self.wal is not None:
-                lsn = self.wal.append_commit(
-                    number, effective, txn_id=txn_id
-                )
+                self.wal.append_commit(number, effective, txn_id=txn_id)
             self._versions.append(version)
             self._by_id[number] = version
             registry = global_registry()
             registry.counter("store.commits").inc()
             registry.gauge("store.versions").set_max(len(self._versions))
-        if lsn is not None:
-            # Group-commit durability wait, *outside* the store lock so
-            # concurrent committers batch behind one fsync leader (a
-            # no-op for per-record durability modes).  The version is
-            # already visible in-memory; this call returning is the
-            # durability acknowledgement.
-            self.wal.wait_durable(lsn)
         trace.event(
             "store.version_committed",
             category="store",

@@ -27,12 +27,6 @@ Durability modes trade safety for append latency:
   process death, not OS death);
 * ``"fsync"``  — ``flush()`` + ``os.fsync`` after every record.
 
-With ``group_commit=True`` (requires ``"fsync"``) appends only buffer
-and flush; durability comes from :meth:`WriteAheadLog.wait_durable`,
-which batches the fsyncs of concurrent committers behind one leader —
-every committer still blocks until *its* record is on disk, but N
-committers arriving during one fsync share the next one.
-
 A ``checkpoint`` record carries a complete database snapshot;
 :meth:`WriteAheadLog.compact` rewrites the log to start at the latest
 checkpoint, bounding replay work.  Fault injection for crash tests goes
@@ -299,22 +293,15 @@ class WriteAheadLog:
         path: str,
         durability: str = "flush",
         fault: Optional["FaultHook"] = None,
-        group_commit: bool = False,
     ) -> None:
         if durability not in DURABILITY_MODES:
             raise WalError(
                 f"unknown durability mode {durability!r}; "
                 f"expected one of {DURABILITY_MODES}"
             )
-        if group_commit and durability != "fsync":
-            raise WalError(
-                "group_commit batches fsyncs and therefore requires "
-                f'durability="fsync", got {durability!r}'
-            )
         self.path = path
         self.durability = durability
         self.fault = fault
-        self.group_commit = group_commit
         self._lock = threading.Lock()
         self._next_lsn = 0
         self._last_version = -1
@@ -330,11 +317,6 @@ class WriteAheadLog:
                 self._next_lsn = records[-1].lsn + 1
                 self._last_version = records[-1].version
         self._handle = open(path, "ab")
-        # Group-commit state: records up to _synced_lsn are fsynced;
-        # one leader at a time performs the batched fsync.
-        self._sync_cond = threading.Condition(self._lock)
-        self._synced_lsn = self._next_lsn - 1
-        self._sync_in_progress = False
 
     # -- introspection -------------------------------------------------
     @property
@@ -371,12 +353,11 @@ class WriteAheadLog:
             self._handle.flush()
         elif self.durability == "fsync":
             self._handle.flush()
-            if not self.group_commit:
-                started = time.perf_counter()
-                os.fsync(self._handle.fileno())
-                global_registry().histogram(
-                    "store.wal.fsync_ms"
-                ).observe((time.perf_counter() - started) * 1000.0)
+            started = time.perf_counter()
+            os.fsync(self._handle.fileno())
+            global_registry().histogram("store.wal.fsync_ms").observe(
+                (time.perf_counter() - started) * 1000.0
+            )
 
     def append(
         self, kind: str, version: int, payload: Mapping[str, Any]
@@ -434,60 +415,6 @@ class WriteAheadLog:
             self._handle.flush()
         global_registry().counter("store.wal.checkpoints").inc()
         return lsn
-
-    # -- group commit --------------------------------------------------
-    def wait_durable(self, lsn: int) -> None:
-        """Block until the record at ``lsn`` is durable on disk.
-
-        A no-op unless the log was opened with ``group_commit=True``
-        (per-record durability modes make every append durable before
-        :meth:`append` returns).  In group mode appends only buffer and
-        flush; the first waiter becomes the *leader*, snapshots the
-        highest appended LSN, fsyncs once **outside the lock** — so
-        more appends accumulate meanwhile — and wakes every waiter
-        whose record the batch covered.  Waiters arriving during a sync
-        wait for the next round; one of them leads it.
-        """
-        if not self.group_commit or lsn < 0:
-            return
-        registry = global_registry()
-        with self._sync_cond:
-            while self._synced_lsn < lsn:
-                if self._sync_in_progress:
-                    registry.counter("store.wal.group_commit.waits").inc()
-                    self._sync_cond.wait()
-                    continue
-                # Become the leader for one batched fsync.
-                self._sync_in_progress = True
-                target = self._next_lsn - 1
-                already = self._synced_lsn
-                handle = self._handle
-                self._sync_cond.release()
-                error: Optional[BaseException] = None
-                started = time.perf_counter()
-                try:
-                    os.fsync(handle.fileno())
-                except (OSError, ValueError) as exc:
-                    error = exc
-                registry.histogram("store.wal.fsync_ms").observe(
-                    (time.perf_counter() - started) * 1000.0
-                )
-                self._sync_cond.acquire()
-                self._sync_in_progress = False
-                self._sync_cond.notify_all()
-                if error is not None:
-                    # compact() swaps files and fsyncs the replacement
-                    # itself, so a stale handle is benign; a failure on
-                    # the *current* handle is a real sync failure.
-                    if handle is self._handle:
-                        raise error
-                    continue
-                if target > self._synced_lsn:
-                    self._synced_lsn = target
-                registry.counter("store.wal.group_commit.syncs").inc()
-                registry.counter("store.wal.group_commit.records").inc(
-                    max(0, target - already)
-                )
 
     # -- maintenance ---------------------------------------------------
     def compact(self) -> int:

@@ -23,16 +23,15 @@ and whose value column is strongly *correlated* with the key — exactly
 the shape on which the System-R independence assumption misestimates a
 two-pair equi-join.  The engine's
 :class:`~repro.relational.cardinality.StatsCatalog` must learn the
-correction from actuals, the plan cache must hold across the repeated
-σ(×) queries, and the delta steps drive the fused region rule
-(``delta_fallbacks`` stays 0 on them).
+correction from actuals, and the plan cache must hold across the
+repeated σ(×) queries.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.coloring.canonical import edge_fixed, fixed_edge_pair, node_fixed
 from repro.core.receiver import Receiver
@@ -41,7 +40,6 @@ from repro.graph.instance import Edge, Instance, Obj
 from repro.graph.schema import Schema
 from repro.relational.algebra import Expr, Product, Project, Rel, Select
 from repro.relational.database import Database
-from repro.relational.delta import RelationDelta, relation_delta
 from repro.relational.relation import Relation, schema_of
 
 Sample = Tuple[Instance, Receiver]
@@ -140,15 +138,12 @@ class SkewedJoinBattery:
       catalog's learned correction repairs.
     * ``projected_join`` — π_{fk,fv} of the correlated join: heavy
       duplicate elimination, the π-dedup kernel's case.
-    * ``delta_steps`` — single/few-row Fact changes driving the fused
-      σ(×) delta rule over the same expressions.
     """
 
     database: Database
     simple_join: Expr
     correlated_join: Expr
     projected_join: Expr
-    delta_steps: List[Dict[str, RelationDelta]]
 
     @property
     def queries(self) -> Tuple[Expr, Expr, Expr]:
@@ -159,7 +154,6 @@ def skewed_join_battery(
     rows: int = 100_000,
     classes: int = 64,
     seed: int = 1995,
-    delta_steps: int = 8,
 ) -> SkewedJoinBattery:
     """Build the seeded skewed-join instance (see the module docstring).
 
@@ -198,18 +192,9 @@ def skewed_join_battery(
     simple = Select(Product(Rel("Fact"), Rel("Dim")), "fk", "dk", True)
     correlated = Select(simple, "fv", "dv", True)
     projected = Project(correlated, ("fk", "fv"))
-    steps: List[Dict[str, RelationDelta]] = []
-    for step in range(delta_steps):
-        key = int(classes * (rng.random() ** 3))
-        inserted = {(rows + step, key, key)}
-        deleted = (
-            {fact_rows[rng.randrange(rows)]} if step % 2 and rows else set()
-        )
-        steps.append({"Fact": relation_delta(inserted, deleted)})
     return SkewedJoinBattery(
         database=database,
         simple_join=simple,
         correlated_join=correlated,
         projected_join=projected,
-        delta_steps=steps,
     )

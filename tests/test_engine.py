@@ -26,7 +26,7 @@ from repro.relational.engine import (
     intern_expr,
 )
 from repro.relational.evaluate import evaluate, infer_schema
-from repro.relational.optimizer import _join_factors, evaluate_optimized
+from repro.relational.optimizer import evaluate_optimized, join_factors
 from repro.relational.relation import Relation, RelationError, schema_of
 
 from tests.test_property_translate import (
@@ -272,12 +272,12 @@ class TestJoinFactorsErrors:
     def test_unappliable_condition_raises_relation_error(self):
         relation = Relation(schema_of(("s", "D")), {(1,)})
         with pytest.raises(RelationError, match="unapplied"):
-            _join_factors([relation], [("nope", "nah", True)])
+            join_factors([relation], [("nope", "nah", True)])
 
     def test_error_names_conditions_and_schema(self):
         relation = Relation(schema_of(("s", "D")), {(1,)})
         with pytest.raises(RelationError, match="nope") as excinfo:
-            _join_factors([relation], [("nope", "nah", True)])
+            join_factors([relation], [("nope", "nah", True)])
         assert "s" in str(excinfo.value)
 
     def test_survives_python_O(self):
@@ -289,13 +289,13 @@ class TestJoinFactorsErrors:
 
         code = textwrap.dedent(
             """
-            from repro.relational.optimizer import _join_factors
+            from repro.relational.optimizer import join_factors
             from repro.relational.relation import (
                 Relation, RelationError, schema_of,
             )
             relation = Relation(schema_of(("s", "D")), {(1,)})
             try:
-                _join_factors([relation], [("nope", "nah", True)])
+                join_factors([relation], [("nope", "nah", True)])
             except RelationError:
                 print("raised")
             """
@@ -323,8 +323,8 @@ class TestDeterministicJoinChoice:
         # Seeded with tiny; both big and small connect to nothing yet —
         # but after the cross product step the plan must be stable.
         conditions = [("s", "u", True), ("t", "v", True)]
-        first = _join_factors([big, small, tiny], list(conditions))
-        second = _join_factors([small, tiny, big], list(conditions))
+        first = join_factors([big, small, tiny], list(conditions))
+        second = join_factors([small, tiny, big], list(conditions))
         # Same logical result regardless of factor order.
         assert frozenset(
             frozenset(zip(first.schema.names, row)) for row in first

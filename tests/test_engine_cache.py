@@ -1,19 +1,14 @@
-"""Cross-state caching and Δ-evaluation: fingerprint properties,
-fingerprint-keyed memo reuse, differential tests for delta_evaluate and
-apply_sequence_incremental, and the table-relation conversion cache."""
+"""Cross-state caching: fingerprint properties, fingerprint-keyed memo
+reuse, differential tests for apply_sequence_incremental, and the
+table-relation conversion cache."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.relational.algebra import Product, Project, Rel, Select, Union
+from repro.relational.algebra import Project, Rel, Select
 from repro.relational.database import Database
-from repro.relational.delta import (
-    RelationDelta,
-    normalize_changes,
-    relation_delta,
-    single_row_change,
-)
+from repro.relational.delta import RelationDelta
 from repro.relational.engine import EngineCache, QueryEngine
 from repro.relational.evaluate import evaluate
 from repro.relational.optimizer import evaluate_optimized
@@ -147,121 +142,6 @@ class TestCrossStateReuse:
             result = engine.evaluate(expr)
             assert result == evaluate(expr, database)
             assert result == evaluate_optimized(expr, database)
-
-
-# ----------------------------------------------------------------------
-# Δ-evaluation
-# ----------------------------------------------------------------------
-@st.composite
-def single_edge_changes(draw):
-    """A one-row insert or delete against E or U."""
-    name = draw(st.sampled_from(["E", "U"]))
-    if name == "E":
-        row = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
-    else:
-        row = draw(st.tuples(st.integers(0, 4)))
-    insert = draw(st.booleans())
-    return single_row_change(name, row, insert=insert)
-
-
-class TestDeltaEvaluate:
-    @given(engine_expressions(), databases(), single_edge_changes())
-    @settings(max_examples=150, deadline=None)
-    def test_matches_both_evaluators(self, expr, database, changes):
-        engine = QueryEngine(database)
-        engine.evaluate(expr)  # warm the old state
-        new_database = database.apply_delta(changes)
-        result = engine.delta_evaluate(expr, changes)
-        assert result == evaluate(expr, new_database)
-        assert result == evaluate_optimized(expr, new_database)
-
-    @given(
-        engine_expressions(),
-        databases(),
-        st.lists(single_edge_changes(), min_size=2, max_size=4),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_chained_deltas_match(self, expr, database, steps):
-        """Advancing engine state through several deltas stays exact."""
-        engine = QueryEngine(database)
-        current = database
-        for changes in steps:
-            new_database = current.apply_delta(changes)
-            result = engine.delta_evaluate(
-                expr, changes, new_database=new_database
-            )
-            assert result == evaluate(expr, new_database)
-            current = new_database
-            engine = QueryEngine(current, cache=engine.cache)
-
-    def test_fused_region_rule_has_no_fallback_cliff(self):
-        """Δ over σ(×) runs the fused region rule — no structural
-        fallbacks, even on the first pass over uncached interiors (the
-        pre-v2 engine counted one fallback per interior node here)."""
-        database = Database(
-            {
-                "E": Relation(E_SCHEMA, {(0, 1), (1, 2), (2, 0)}),
-                "U": Relation(U_SCHEMA, {(0,), (1,)}),
-            }
-        )
-        expr = Project(
-            Select(Product(Rel("E"), Rel("U")), "t", "u", True), ("s",)
-        )
-        changes = single_row_change("E", (2, 1))
-        engine = QueryEngine(database)
-        engine.evaluate(expr)
-        engine.delta_evaluate(expr, changes)
-        assert engine.stats.delta_fallbacks == 0
-        assert engine.stats.delta_fused_regions > 0
-        first_fast = engine.stats.delta_fast_paths
-        assert first_fast > 0
-
-        engine.delta_evaluate(expr, changes)
-        assert engine.stats.delta_fallbacks == 0
-        assert engine.stats.delta_fast_paths > first_fast
-        assert "delta:" in engine.stats.render()
-        assert "fused regions" in engine.stats.render()
-
-    def test_fused_region_cold_engine_matches_oracle(self):
-        """The fused rule is exact even with nothing cached: a cold
-        engine Δ-evaluating σ(×) with multi-row, multi-relation deltas
-        agrees with from-scratch evaluation."""
-        database = Database(
-            {
-                "E": Relation(E_SCHEMA, {(0, 1), (1, 2), (2, 0), (3, 1)}),
-                "U": Relation(U_SCHEMA, {(0,), (1,), (3,)}),
-            }
-        )
-        expr = Select(Product(Rel("E"), Rel("U")), "t", "u", True)
-        changes = {
-            "E": relation_delta(
-                inserted={(2, 3), (1, 0)}, deleted={(0, 1), (3, 1)}
-            ),
-            "U": relation_delta(inserted={(2,)}, deleted={(0,)}),
-        }
-        engine = QueryEngine(database)  # cold: no evaluate() first
-        result = engine.delta_evaluate(expr, changes)
-        new_database = database.apply_delta(
-            normalize_changes(database, changes)
-        )
-        assert result == evaluate(expr, new_database)
-        assert engine.stats.delta_fallbacks == 0
-
-    def test_noop_changes_degrade_to_plain_evaluation(self):
-        database = Database(
-            {
-                "E": Relation(E_SCHEMA, {(0, 1)}),
-                "U": Relation(U_SCHEMA, set()),
-            }
-        )
-        expr = Union(Rel("E"), Rel("E"))
-        engine = QueryEngine(database)
-        # Deleting an absent row is a no-op change set.
-        changes = single_row_change("E", (3, 3), insert=False)
-        assert normalize_changes(database, changes) == {}
-        assert engine.delta_evaluate(expr, changes) == evaluate(
-            expr, database
-        )
 
 
 # ----------------------------------------------------------------------
@@ -409,119 +289,3 @@ class TestTableRelationCache:
         assert database.relation("T") is table_relation(
             table, cache=cache
         )
-
-
-# ----------------------------------------------------------------------
-# Δ accounting property (hypothesis)
-# ----------------------------------------------------------------------
-def _interned_dag(node):
-    """Every distinct interned node reachable from ``node``."""
-    from repro.relational.algebra import children
-
-    seen = {}
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if id(current) in seen:
-            continue
-        seen[id(current)] = current
-        stack.extend(children(current))
-    return list(seen.values())
-
-
-@st.composite
-def change_sets(draw):
-    """Random insert/delete sets over E and U (possibly no-ops)."""
-    changes = {}
-    if draw(st.booleans()):
-        changes["E"] = RelationDelta(
-            inserted=frozenset(
-                draw(
-                    st.sets(
-                        st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                        max_size=3,
-                    )
-                )
-            ),
-            deleted=frozenset(
-                draw(
-                    st.sets(
-                        st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                        max_size=3,
-                    )
-                )
-            ),
-        )
-    if draw(st.booleans()):
-        changes["U"] = RelationDelta(
-            inserted=frozenset(
-                draw(st.sets(st.tuples(st.integers(0, 3)), max_size=2))
-            ),
-            deleted=frozenset(
-                draw(st.sets(st.tuples(st.integers(0, 3)), max_size=2))
-            ),
-        )
-    return changes
-
-
-class TestDeltaAccountingProperty:
-    @given(engine_expressions(), databases(), change_sets())
-    @settings(max_examples=150, deadline=None)
-    def test_counters_account_for_every_changed_node(
-        self, expr, database, changes
-    ):
-        """Exactly one fast-path *or* fallback increment per distinct
-        interned non-Rel node whose subtree touches a changed relation —
-        and the Δ result equals full re-evaluation of the new state."""
-        from repro.relational.algebra import Rel as RelNode
-
-        cache = EngineCache()
-        engine = QueryEngine(database, cache=cache)
-        engine.evaluate(expr)
-
-        before = (
-            engine.stats.delta_fast_paths + engine.stats.delta_fallbacks
-        )
-        result = engine.delta_evaluate(expr, changes)
-        increments = (
-            engine.stats.delta_fast_paths
-            + engine.stats.delta_fallbacks
-            - before
-        )
-
-        changed = frozenset(normalize_changes(database, changes))
-        node = engine.intern(expr)
-        expected = [
-            n
-            for n in _interned_dag(node)
-            if not isinstance(n, RelNode)
-            and changed.intersection(cache.base_relations(n))
-        ]
-        assert increments == len(expected)
-        # Differential: Δ-propagation equals evaluating from scratch.
-        assert result == evaluate(expr, database.apply_delta(changes))
-
-    @given(engine_expressions(), databases(), change_sets())
-    @settings(max_examples=60, deadline=None)
-    def test_accounting_holds_on_cold_engines(
-        self, expr, database, changes
-    ):
-        """The invariant is warmth-independent: a cold engine falls back
-        more, but fast + fallback still covers each changed node once."""
-        cache = EngineCache()
-        engine = QueryEngine(database, cache=cache)
-        result = engine.delta_evaluate(expr, changes)
-        total = (
-            engine.stats.delta_fast_paths + engine.stats.delta_fallbacks
-        )
-        from repro.relational.algebra import Rel as RelNode
-
-        changed = frozenset(normalize_changes(database, changes))
-        expected = [
-            n
-            for n in _interned_dag(engine.intern(expr))
-            if not isinstance(n, RelNode)
-            and changed.intersection(cache.base_relations(n))
-        ]
-        assert total == len(expected)
-        assert result == evaluate(expr, database.apply_delta(changes))

@@ -11,6 +11,7 @@ from repro.graph.schema import Schema
 from repro.objrel.mapping import instance_to_database
 from repro.parallel.apply import (
     apply_parallel,
+    apply_sequence_incremental,
     lemma_6_7_holds,
     parallel_changes,
 )
@@ -70,10 +71,24 @@ def test_lemma_6_7_for_positive_methods_on_key_sets(seed):
         assert lemma_6_7_holds(method, label, instance, receivers)
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=40, deadline=None)
-def test_proposition_6_3_singletons(seed):
-    case = make_case(seed)
+def outcome(apply, *args):
+    """What ``apply(*args)`` returns, or the type of what it raises."""
+    try:
+        return apply(*args)
+    except Exception as error:
+        return type(error)
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([random_key_set, random_receiver_set]),
+)
+@settings(max_examples=60, deadline=None)
+def test_proposition_6_3_singletons(seed, receiver_set):
+    """Prop. 6.3: ``M_par(I, {t}) = M(I, t)``.  Folded over the
+    receiver list, singleton ``M_par`` steps are sequential application,
+    for key and non-key receiver sets alike."""
+    case = make_case(seed, receiver_set=receiver_set)
     if case is None:
         return
     method, instance, receivers = case
@@ -81,6 +96,9 @@ def test_proposition_6_3_singletons(seed):
     assert apply_parallel(method, instance, [receiver]) == method.apply(
         instance, receiver
     )
+    assert outcome(
+        apply_sequence_incremental, method, instance, receivers
+    ) == outcome(apply_sequence, method, instance, receivers)
 
 
 @given(

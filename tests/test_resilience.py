@@ -7,10 +7,9 @@ verdict, the adaptive applicator degrading to the paper-correct
 sequential fold, the worker-pool supervisor re-running crashed
 statement workers, the store's transaction retries on the unified
 jittered backoff, the circuit breaker guarding the semantic-commute
-tier, the WAL's opt-in group-commit durability, and the ``run_traced``
-partial-trace flush.  A hypothesis property checks the budget is
-*sound*: capped decisions may say ``UNKNOWN``, never the wrong
-definite verdict.
+tier, and the ``run_traced`` partial-trace flush.  A hypothesis
+property checks the budget is *sound*: capped decisions may say
+``UNKNOWN``, never the wrong definite verdict.
 """
 
 import json
@@ -22,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.store.wal as walmod
 from repro.algebraic import decision
 from repro.algebraic.decision import (
     INDEPENDENT,
@@ -72,6 +70,7 @@ from repro.resilience.retry import RetryPolicy, retry_call
 from repro.sqlsim.scenarios import (
     make_company,
     scenario_b_method,
+    scenario_c_method,
     tables_to_instance,
 )
 from repro.sqlsim.versioned_run import scenario_b_receivers
@@ -80,8 +79,6 @@ from repro.store import (
     VersionedStore,
     run_transaction,
 )
-from repro.store.recovery import recover
-from repro.store.wal import WalError
 from repro.workloads.methods import random_positive_method
 
 SCHEMA = Schema(
@@ -670,6 +667,28 @@ class TestAdaptiveApply:
         )
         assert result == expected
 
+    def test_method_reading_what_it_writes_falls_back_fast(self):
+        # (C') reads Employee.salary, the relation it writes: Theorem
+        # 5.12 finds it order dependent, so every receiver set takes
+        # the sequential fold — one singleton M_par step per receiver.
+        method = scenario_c_method()
+        employees, _, newsal = make_company(24, seed=7)
+        instance = tables_to_instance(employees, newsal=newsal)
+        receivers = [
+            Receiver([Obj("Employee", r["EmpId"])]) for r in employees
+        ]
+        assert classify_method(method) == decision.DEPENDENT
+        sequential_counter = global_registry().counter(
+            "parallel.adaptive.sequential"
+        )
+        before = sequential_counter.value
+        start = time.perf_counter()
+        result = apply_adaptive(method, instance, receivers)
+        elapsed = time.perf_counter() - start
+        assert sequential_counter.value == before + 1
+        assert result == apply_sequence(method, instance, receivers)
+        assert elapsed < 2.0, f"sequential fallback took {elapsed:.2f}s"
+
     def test_classification_happens_under_the_callers_budget(self):
         # A budget roomy enough to classify: the adaptive call reaches
         # a definite verdict and the parallel path, matching sequential.
@@ -929,127 +948,6 @@ class TestStoreBreaker:
         first.commit()
         second.commit()  # memo hit: no breaker consultation, no abort
         assert breaker.state == OPEN  # and no state change either
-
-
-# ----------------------------------------------------------------------
-# WAL group commit (satellite: durability regression)
-# ----------------------------------------------------------------------
-class TestGroupCommit:
-    def toggle(self, store, index=0):
-        rows = sorted(
-            store.head.database.relation("Employee.salary").tuples
-        )
-        return {
-            "Employee.salary": RelationDelta(
-                deleted=frozenset({rows[index]})
-            )
-        }
-
-    def test_group_commit_requires_fsync_durability(self, tmp_path):
-        _, instance, _ = b_workload(4)
-        with pytest.raises(WalError):
-            VersionedStore(
-                instance=instance,
-                wal=str(tmp_path / "g.wal"),
-                durability="flush",
-                group_commit=True,
-            )
-
-    def test_commit_returns_only_after_its_record_is_durable(
-        self, tmp_path, monkeypatch
-    ):
-        _, instance, _ = b_workload(4)
-        store = VersionedStore(
-            instance=instance,
-            wal=str(tmp_path / "g.wal"),
-            durability="fsync",
-            group_commit=True,
-        )
-        synced = []
-        real_fsync = walmod.os.fsync
-        monkeypatch.setattr(
-            walmod.os, "fsync", lambda fd: synced.append(real_fsync(fd))
-        )
-        store.commit_changes(self.toggle(store))
-        # The batched fsync happened before commit_changes returned —
-        # group commit amortizes syncs, it does not defer durability.
-        assert len(synced) == 1
-        store.close()
-        state = recover(str(tmp_path / "g.wal"))
-        assert (
-            state.database.fingerprints()
-            == store.head.database.fingerprints()
-        )
-
-    def test_concurrent_commits_share_fsyncs(self, tmp_path, monkeypatch):
-        _, instance, _ = b_workload(8)
-        store = VersionedStore(
-            instance=instance,
-            wal=str(tmp_path / "batch.wal"),
-            durability="fsync",
-            group_commit=True,
-        )
-        fsyncs = []
-        real_fsync = walmod.os.fsync
-
-        def slow_fsync(fd):
-            # Long enough that every waiting commit piles onto the
-            # leader's batch instead of syncing one by one.
-            time.sleep(0.01)
-            fsyncs.append(fd)
-            return real_fsync(fd)
-
-        monkeypatch.setattr(walmod.os, "fsync", slow_fsync)
-        rows = sorted(
-            store.head.database.relation("Employee.salary").tuples
-        )
-        barrier = threading.Barrier(4)
-
-        def committer(index):
-            barrier.wait()
-            store.commit_changes(
-                {
-                    "Employee.salary": RelationDelta(
-                        deleted=frozenset({rows[index]})
-                    )
-                }
-            )
-
-        threads = [
-            threading.Thread(target=committer, args=(i,))
-            for i in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert store.head.version == 4
-        assert len(fsyncs) < 4  # at least two commits shared one sync
-        store.close()
-        state = recover(str(tmp_path / "batch.wal"))
-        assert (
-            state.database.fingerprints()
-            == store.head.database.fingerprints()
-        )
-
-    def test_group_commit_survives_compaction(self, tmp_path):
-        _, instance, _ = b_workload(6)
-        path = tmp_path / "compact.wal"
-        store = VersionedStore(
-            instance=instance,
-            wal=str(path),
-            durability="fsync",
-            group_commit=True,
-        )
-        store.commit_changes(self.toggle(store, 0))
-        store.checkpoint(compact=True)
-        store.commit_changes(self.toggle(store, 1))
-        store.close()
-        state = recover(str(path))
-        assert (
-            state.database.fingerprints()
-            == store.head.database.fingerprints()
-        )
 
 
 # ----------------------------------------------------------------------

@@ -164,37 +164,6 @@ def test_plan_driven_wal_kill_recovers_a_clean_prefix(kill_at, tmp_path):
     assert state.database.fingerprints() == prefixes[committed]
 
 
-def test_group_commit_kill_recovers_a_committed_prefix(tmp_path):
-    """The invariant holds under group commit too: a kill mid-batch
-    recovers some committed prefix, never a torn one."""
-    _, instance, _ = company_workload()
-    path = tmp_path / "group.wal"
-    store = VersionedStore(
-        instance=instance,
-        wal=str(path),
-        durability="fsync",
-        group_commit=True,
-    )
-    rows = sorted(
-        store.head.database.relation("Employee.salary").tuples
-    )
-    deltas = [
-        {"Employee.salary": RelationDelta(deleted=frozenset({row}))}
-        for row in rows[:4]
-    ]
-    prefixes = committed_prefix_fingerprints(
-        store.head.database, deltas
-    )
-    plan = FaultPlan(seed=CHAOS_SEED).kill_at(WAL_APPEND, at=3)
-    with plan.installed():
-        with pytest.raises(CrashPoint):
-            for delta in deltas:
-                store.commit_changes(delta)
-    store.close()
-    state = recover(str(path))
-    assert state.database.fingerprints() in prefixes
-
-
 def test_probabilistic_worker_chaos_is_correct_or_fails_cleanly():
     """Seeded random worker crashes: the supervisor either retries its
     way to the exact clean result or propagates after exhausting
