@@ -16,7 +16,11 @@ update (B'):
 * ``resilience.adaptive_parallel[n]`` vs
   ``resilience.adaptive_degraded[n]`` — ``apply_adaptive`` under a
   definite verdict vs a forced ``UNKNOWN`` (sequential fallback),
-  differentially asserted to produce the identical final state.
+  differentially asserted to produce the identical final state;
+* ``resilience.adaptive_degraded_dependent[n]`` — the order-dependent
+  update (C′), one single-object receiver per employee, which
+  ``apply_adaptive`` must fold sequentially (verdict ``dependent``);
+  asserted equal to ``apply_sequence``.
 
 Series names all start with ``resilience.`` so
 ``conftest.pytest_sessionfinish`` routes them to ``BENCH_resilience.json``
@@ -44,14 +48,16 @@ from repro.algebraic.decision import (
     decide_key_order_independence,
     decide_key_order_independence_budgeted,
 )
+from repro.core.receiver import Receiver
 from repro.core.sequential import apply_sequence
 from repro.parallel.apply import apply_adaptive
 from repro.resilience import budget as resilience_budget
 from repro.resilience.budget import Budget
 from repro.resilience.faults import FaultPlan, fault_point
-from repro.sqlsim.scenarios import scenario_b_method
+from repro.sqlsim.scenarios import scenario_b_method, scenario_c_method
 
 SIZES = [8, 32]
+DEPENDENT_SIZES = [8, 16, 24]
 STEP_CAPS = [1, 8, 64]
 
 
@@ -157,6 +163,24 @@ def test_adaptive_degraded(benchmark, size):
         f"resilience.adaptive_degraded[{size}]",
         lambda: apply_adaptive(
             method, instance, receivers, verdict=decision.UNKNOWN
+        ),
+    )
+    assert result == reference
+
+
+@pytest.mark.parametrize("size", DEPENDENT_SIZES)
+def test_adaptive_degraded_dependent(benchmark, size):
+    """(C′) is order dependent: the fold runs one singleton ``M_par``
+    step per receiver, and must equal the reference fold."""
+    method = scenario_c_method()
+    _, _, instance, receivers = company_instance_and_receivers(size)
+    receivers = [Receiver([r.objects[0]]) for r in receivers]
+    reference = apply_sequence(method, instance, receivers)
+    result = measure(
+        benchmark,
+        f"resilience.adaptive_degraded_dependent[{size}]",
+        lambda: apply_adaptive(
+            method, instance, receivers, verdict=decision.DEPENDENT
         ),
     )
     assert result == reference

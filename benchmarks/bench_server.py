@@ -5,7 +5,11 @@ Two kinds of measurement:
 * **Closed-loop costs** — round-trip latency of a pipelined ``ping``
   train and of ``apply_batch`` carrying the Section 7 (B') raise over
   the wire (``server.rtt.*``, ``server.apply_batch``): what one
-  request costs when the server is idle.
+  request costs when the server is idle.  ``server.query.scan2000.*``
+  times a 2,000-row ``Employee.salary`` reply: ``fresh`` right after a
+  write (the engine evaluates and the rows are encoded), ``repeat``
+  the same query again (the engine's memo and the connection's reply
+  memo both hit).
 
 * **Open-loop overload** (``server.load.*``) — a seeded open-loop
   generator issues requests at a fixed arrival rate ~4x the server's
@@ -43,6 +47,8 @@ import pytest
 
 from benchmarks.conftest import record_timing
 from benchmarks.harness import best_of
+from repro.relational.parser import parse_expression
+from repro.server import protocol
 from repro.server.admission import AdmissionController
 from repro.server.client import ServerError, connect
 from repro.server.server import ReproServer
@@ -198,6 +204,45 @@ def test_apply_batch_over_the_wire():
             store.close()
 
     record_timing("server.apply_batch.32", best_of(run_once))
+
+
+def test_query_scan_reply():
+    """A 2,000-row reply on a new version, then repeated; every reply
+    is checked against a direct evaluation."""
+    store, receivers = company_store(n_employees=2000, seed=7)
+    expr = "Employee.salary"
+    fresh: List[float] = []
+    repeat: List[float] = []
+
+    async def timed_query(client, expected, into: List[float]) -> None:
+        start = time.perf_counter()
+        result = await client.query(expr)
+        into.append(time.perf_counter() - start)
+        assert result["rows"] == expected
+
+    async def run() -> None:
+        async with ReproServer(
+            store, standard_methods(), port=0
+        ) as server:
+            client = await connect("127.0.0.1", server.port)
+            try:
+                for round_index in range(5):
+                    batch = receivers[8 * round_index : 8 * round_index + 8]
+                    await client.apply_batch("raise_salary", batch)
+                    relation = store.engine().evaluate(parse_expression(expr))
+                    expected = protocol.encode_rows(relation.tuples)
+                    assert len(expected) == 2000
+                    await timed_query(client, expected, fresh)
+                    await timed_query(client, expected, repeat)
+            finally:
+                await client.close()
+
+    try:
+        asyncio.run(run())
+    finally:
+        store.close()
+    record_timing("server.query.scan2000.fresh", min(fresh))
+    record_timing("server.query.scan2000.repeat", min(repeat))
 
 
 @pytest.mark.benchmark_acceptance

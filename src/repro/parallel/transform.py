@@ -16,11 +16,18 @@ schemes).
 The transform tracks output schemas as it recurses, because the
 natural-join expansion (rename right ``self`` apart, product, equality
 selection, project the duplicate away) needs the operand attribute lists.
+
+The renamed-apart ``self`` columns are named ``self__1``, ``self__2``,
+... by a counter local to one transform, skipping every attribute name
+that occurs in ``E`` or in the schemas of its base relations.  The same
+expression therefore always yields a structurally equal ``par(E)`` — in
+every process, shard workers included — so the engine's interner,
+schema memo and plan cache recognise it from one write to the next.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Set, Tuple
 
 from repro.algebraic.expression import SELF, arg_name
 from repro.core.signature import MethodSignature
@@ -36,7 +43,7 @@ from repro.relational.algebra import (
     Rename,
     Select,
     Union,
-    fresh_attr,
+    walk,
 )
 from repro.relational.database import DatabaseSchema
 from repro.relational.relation import (
@@ -72,15 +79,45 @@ def _par_attrs(names: Tuple[str, ...]) -> Tuple[str, ...]:
     return (SELF,) + tuple(names)
 
 
+def _attribute_names(expr: Expr, db_schema: DatabaseSchema) -> Set[str]:
+    """The attribute names a ``self__<n>`` shadow could collide with: the
+    schemas of ``expr``'s base relations and of its empty relations, and
+    the names it renames.  Every other attribute of ``expr`` comes from
+    these, or is ``self`` or an argument."""
+    names: Set[str] = set()
+    for node in walk(expr):
+        if isinstance(node, Rel):
+            if db_schema.has_relation(node.name):
+                names.update(db_schema.relation_schema(node.name).names)
+        elif isinstance(node, Empty):
+            names.update(node.schema.names)
+        elif isinstance(node, Rename):
+            names.update((node.old, node.new))
+    return names
+
+
 class _Transformer:
     def __init__(
-        self, object_schema: Schema, signature: MethodSignature
+        self,
+        db_schema: DatabaseSchema,
+        signature: MethodSignature,
+        taken: Set[str],
     ) -> None:
-        self._db_schema = schema_to_database_schema(object_schema)
+        self._db_schema = db_schema
         self._signature = signature
         self._specials = {
             arg_name(i + 1) for i in range(signature.arity)
         }
+        self._taken = taken
+        self._shadows = 0
+
+    def _shadow(self) -> str:
+        """The next ``self__<n>`` that names no attribute of ``E``."""
+        while True:
+            self._shadows += 1
+            name = f"{SELF}__{self._shadows}"
+            if name not in self._taken:
+                return name
 
     def transform(self, expr: Expr) -> Tuple[Expr, Tuple[str, ...]]:
         """Return ``(par(expr), output attribute names)``."""
@@ -192,7 +229,7 @@ class _Transformer:
     ) -> Tuple[Expr, Tuple[str, ...]]:
         left, left_attrs = self.transform(left_expr)
         right, right_attrs = self.transform(right_expr)
-        shadow = fresh_attr(SELF)
+        shadow = self._shadow()
         renamed_right = Rename(right, SELF, shadow)
         joined = Select(Product(left, renamed_right), SELF, shadow, True)
         kept = tuple(left_attrs) + tuple(
@@ -205,5 +242,9 @@ def par_transform(
     expr: Expr, object_schema: Schema, signature: MethodSignature
 ) -> Expr:
     """``par(expr)`` over the object relations plus ``rec``."""
-    transformed, _ = _Transformer(object_schema, signature).transform(expr)
+    db_schema = schema_to_database_schema(object_schema)
+    transformer = _Transformer(
+        db_schema, signature, _attribute_names(expr, db_schema)
+    )
+    transformed, _ = transformer.transform(expr)
     return transformed

@@ -691,11 +691,8 @@ class QueryEngine:
 
     @staticmethod
     def _apply_node(node: Expr, child_rels: Sequence[Relation]) -> Relation:
-        """Apply ``node``'s single operator to materialized children."""
-        if isinstance(node, Union):
-            return child_rels[0].union(child_rels[1])
-        if isinstance(node, Difference):
-            return child_rels[0].difference(child_rels[1])
+        """Apply ``node``'s single σ/×/π/ρ operator to materialized
+        children (``_naive_region`` evaluates every other node)."""
         if isinstance(node, Product):
             return child_rels[0].product(child_rels[1])
         if isinstance(node, Select):

@@ -284,22 +284,24 @@ class Relation:
                 f"schema mismatch: {self._schema} vs {other._schema}"
             )
 
+    # Every operator's input is a validated relation, so its output rows
+    # are tuples of the right arity: results are built with _from_rows.
     def union(self, other: "Relation") -> "Relation":
         self._require_same_schema(other)
-        return Relation(self._schema, self._tuples | other._tuples)
+        return Relation._from_rows(self._schema, self._tuples | other._tuples)
 
     def difference(self, other: "Relation") -> "Relation":
         self._require_same_schema(other)
-        return Relation(self._schema, self._tuples - other._tuples)
+        return Relation._from_rows(self._schema, self._tuples - other._tuples)
 
     def product(self, other: "Relation") -> "Relation":
         schema = self._schema.concat(other._schema)
-        rows = {
+        rows = frozenset(
             left + right
             for left in self._tuples
             for right in other._tuples
-        }
-        return Relation(schema, rows)
+        )
+        return Relation._from_rows(schema, rows)
 
     def select(self, left: str, right: str, equal: bool) -> "Relation":
         i = self._schema.position(left)
@@ -312,21 +314,28 @@ class Relation:
                 f"{right}:{right_domain} (different domains)"
             )
         if equal:
-            rows = {row for row in self._tuples if row[i] == row[j]}
+            rows = frozenset(row for row in self._tuples if row[i] == row[j])
         else:
-            rows = {row for row in self._tuples if row[i] != row[j]}
-        return Relation(self._schema, rows)
+            rows = frozenset(row for row in self._tuples if row[i] != row[j])
+        return Relation._from_rows(self._schema, rows)
 
     def project(self, names: Sequence[str]) -> "Relation":
         schema = self._schema.project(names)
         positions = [self._schema.position(n) for n in names]
-        rows = {
+        rows = frozenset(
             tuple(row[p] for p in positions) for row in self._tuples
-        }
-        return Relation(schema, rows)
+        )
+        return Relation._from_rows(schema, rows)
 
     def rename(self, old: str, new: str) -> "Relation":
-        return Relation(self._schema.rename(old, new), self._tuples)
+        """Zero-copy: the result shares this relation's tuple set and
+        fingerprint accumulator; only the schema (and so the
+        fingerprint) changes."""
+        result = Relation._from_rows(
+            self._schema.rename(old, new), self._tuples
+        )
+        result._tuple_xor = self._tuple_xor
+        return result
 
     # ------------------------------------------------------------------
     # Plumbing

@@ -42,6 +42,29 @@ Receivers cross the wire as lists of ``[class, key]`` pairs (an
 :class:`~repro.graph.instance.Obj` per component); relation rows come
 back the same way.  Keys must be JSON-representable scalars — which the
 object bases built from :mod:`repro.workloads` satisfy by construction.
+
+**Row order.**  A ``query`` result's ``rows`` are a JSON array of rows,
+each a JSON array of cells.  Rows are sorted by their compact JSON text
+(``,`` and ``:`` separators) with DEL and every non-ASCII character
+escaped as ``\\uXXXX`` — the text ``json.dumps(row, separators=(",",
+":"))`` gives.  The frame itself keeps those characters unescaped.
+This is the same order as sorting by ``json.dumps(row, sort_keys=True)``:
+up to the first character where two row texts differ, their structural
+commas fall at the same places, so the spaces that the default
+separators add never decide a comparison.  It is not the native
+:class:`~repro.graph.instance.Obj` order, which compares keys as
+strings: a row ``[["Employee",10],…]`` comes before
+``[["Employee",1],…]`` on the wire (``0`` sorts before ``]``), after
+it natively.
+
+**Pre-encoded rows.**  The server encodes a result's rows once, off the
+event loop, with :func:`preencode_rows`: each row's text is built from
+per-cell fragments and the rows are sorted by that text.  The result is
+an :class:`EncodedRows` (the UTF-8 bytes of the array), which
+:func:`encode_frame` splices into a reply verbatim, so a reply frame
+carries the same bytes as one encoded from plain lists.
+:func:`encode_rows` is the decoded list form of the same text, in the
+same order.
 """
 
 from __future__ import annotations
@@ -115,17 +138,43 @@ class ProtocolError(ValueError):
 # ----------------------------------------------------------------------
 # Framing
 # ----------------------------------------------------------------------
+#: The frame body's JSON encoder: compact, non-ASCII text kept as is.
+_COMPACT = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+
+
 def encode_frame(message: Mapping[str, Any]) -> bytes:
-    """One message as a length-prefixed JSON frame."""
-    body = json.dumps(
-        message, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
+    """One message as a length-prefixed JSON frame.
+
+    A reply whose ``result["rows"]`` is :class:`EncodedRows` gets those
+    bytes spliced in verbatim; the keys of the message and of its
+    ``result`` must then be strings, as every reply's are.
+    """
+    result = message.get("result")
+    rows = result.get("rows") if isinstance(result, dict) else None
+    if isinstance(rows, EncodedRows):
+        body = _splice(message, "result", _splice(result, "rows", rows.data))
+    else:
+        body = _COMPACT(message).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame body of {len(body)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte cap"
         )
     return HEADER.pack(len(body)) + body
+
+
+def _splice(mapping: Mapping[str, Any], slot: str, data: bytes) -> bytes:
+    """``mapping`` as compact JSON, with the already encoded ``data`` as
+    the value at ``slot``."""
+    return (
+        b"{"
+        + b",".join(
+            (_COMPACT(key) + ":").encode("utf-8")
+            + (data if key == slot else _COMPACT(value).encode("utf-8"))
+            for key, value in mapping.items()
+        )
+        + b"}"
+    )
 
 
 class FrameDecoder:
@@ -283,13 +332,76 @@ def decode_receivers(payload: Any) -> Tuple[Receiver, ...]:
     return tuple(decoded)
 
 
+class EncodedRows:
+    """A result's rows, encoded once: the UTF-8 bytes of their JSON
+    array in wire order (see the module docstring).
+
+    :func:`encode_frame` splices :attr:`data` into a reply verbatim.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+
+#: A JSON string literal, non-ASCII text kept as is.
+_STRING = json.encoder.encode_basestring
+#: Compact JSON with DEL and non-ASCII characters escaped.
+_COMPACT_ASCII = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _escapes_nothing(text: str) -> bool:
+    """Whether ``text`` reads the same with DEL and non-ASCII escaped."""
+    return text.isascii() and "\x7f" not in text
+
+
+def _order_key(text: str) -> str:
+    """A row's wire-order key, given its frame text."""
+    return text if _escapes_nothing(text) else _COMPACT_ASCII(json.loads(text))
+
+
+def preencode_rows(rows: Iterable[Tuple]) -> EncodedRows:
+    """Relation tuples as the JSON text of a reply's ``rows``, built
+    once from per-cell fragments and sorted by that text.
+
+    An object cell with a string class and an ``int`` key is formatted
+    from its class's cached ``["cls",`` prefix; every other cell goes
+    through :func:`encode_value` and the JSON encoder, so a cell the
+    wire cannot represent raises :class:`ProtocolError` here, in the
+    caller's thread.
+    """
+    prefixes: Dict[str, str] = {}
+    texts: List[str] = []
+    for row in rows:
+        cells: List[str] = []
+        for cell in row:
+            if (
+                type(cell) is Obj
+                and type(cell.key) is int
+                and type(cell.cls) is str
+            ):
+                prefix = prefixes.get(cell.cls)
+                if prefix is None:
+                    prefix = prefixes[cell.cls] = "[" + _STRING(cell.cls) + ","
+                cells.append(f"{prefix}{cell.key}]")
+            else:
+                cells.append(_COMPACT(encode_value(cell)))
+        texts.append("[" + ",".join(cells) + "]")
+    if _escapes_nothing("".join(texts)):
+        texts.sort()
+    else:
+        texts.sort(key=_order_key)
+    try:
+        return EncodedRows(("[" + ",".join(texts) + "]").encode("utf-8"))
+    except UnicodeEncodeError as exc:
+        raise ProtocolError(f"a row is not representable on the wire: {exc}")
+
+
 def encode_rows(rows: Iterable[Tuple]) -> List[List[Any]]:
-    """Relation tuples as JSON-safe nested lists, deterministically
-    ordered (sorted by their encoded form)."""
-    return sorted(
-        [[encode_value(cell) for cell in row] for row in rows],
-        key=lambda row: json.dumps(row, sort_keys=True),
-    )
+    """Relation tuples as JSON-safe nested lists in wire order: the
+    decoded form of :func:`preencode_rows`."""
+    return json.loads(preencode_rows(rows).data)
 
 
 __all__ = [
@@ -297,6 +409,7 @@ __all__ = [
     "CONFLICT",
     "DEADLINE_EXCEEDED",
     "ERROR_CODES",
+    "EncodedRows",
     "FrameDecoder",
     "HANDLER_DEATH",
     "HEADER_BYTES",
@@ -319,6 +432,7 @@ __all__ = [
     "encode_value",
     "error_response",
     "ok_response",
+    "preencode_rows",
     "request",
     "validate_request",
 ]

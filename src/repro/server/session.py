@@ -25,6 +25,15 @@ The session is backend-polymorphic over the two store shapes:
 Requests inside an explicit transaction execute in connection order
 (the server's per-connection FIFO guarantees it), so a session's
 transaction is never touched by two handler threads at once.
+
+A query reply's rows are encoded once per result: the session keeps
+its last reply as ``(relation, pre-encoded rows)`` and reuses the rows
+when the next query evaluates to that very relation object.  The
+engine's memo and its cross-state cache hand back the same immutable
+:class:`~repro.relational.relation.Relation` for an unchanged result,
+so a repeated read skips encoding; a write in between yields a new
+relation and a fresh encoding.  The memo holds one entry and needs no
+lock, for the same FIFO reason.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 from repro.obs import flight
 from repro.obs.metrics import global_registry
 from repro.relational.parser import ParseError, parse_expression
+from repro.relational.relation import Relation
 from repro.resilience.budget import Budget
 from repro.server import protocol
 from repro.server.protocol import ProtocolError
@@ -80,6 +90,8 @@ class Session:
         self.txn = None
         self.last_audit: Optional[Dict[str, Any]] = None
         self.requests_handled = 0
+        # The last query reply: (relation, its pre-encoded rows).
+        self._reply: Optional[Tuple[Relation, protocol.EncodedRows]] = None
 
     # -- backend polymorphism ------------------------------------------
     @property
@@ -162,10 +174,11 @@ class Session:
                 relation = snapshot.engine().evaluate(
                     expr, budget=budget
                 )
-        return {
-            "columns": list(relation.schema.names),
-            "rows": protocol.encode_rows(relation.tuples),
-        }
+        reply = self._reply
+        if reply is None or reply[0] is not relation:
+            reply = (relation, protocol.preencode_rows(relation.tuples))
+            self._reply = reply
+        return {"columns": list(relation.schema.names), "rows": reply[1]}
 
     def _op_apply_batch(self, params, budget) -> Dict[str, Any]:
         if self.txn is not None:

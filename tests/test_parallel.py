@@ -302,3 +302,84 @@ class TestFanOutFatalLatency:
 
         with pytest.raises(BudgetExceeded):
             _supervised_fan_out(worker, ["a", "b", "c"], max_workers=2)
+
+
+class TestStableShadowNames:
+    """``par(E)`` names its renamed-apart ``self`` columns by a counter
+    local to one transform, so the same statement always transforms to
+    the same expression."""
+
+    @staticmethod
+    def _shadows(expr):
+        from repro.relational.algebra import walk
+
+        return [
+            node.new
+            for node in walk(expr)
+            if isinstance(node, Rename) and node.old == "self"
+        ]
+
+    def test_two_transforms_intern_to_one_root(self):
+        from repro.parallel.apply import parallel_statement_expression
+        from repro.relational.engine import Interner
+        from repro.sqlsim.scenarios import scenario_c_method
+
+        interner = Interner()
+        first = interner.intern(
+            parallel_statement_expression(scenario_c_method(), "salary")
+        )
+        second = interner.intern(
+            parallel_statement_expression(scenario_c_method(), "salary")
+        )
+        assert first is second
+        assert self._shadows(first)
+
+    def test_commits_leave_interner_and_plan_counts_flat(self):
+        from repro.server.testing import company_store
+        from repro.sqlsim.scenarios import scenario_c_method
+        from repro.store.txn import run_transaction
+
+        store, receivers = company_store(n_employees=64, seed=7)
+        method = scenario_c_method()
+        employees = sorted({r.objects[0] for r in receivers})
+        counts = []
+        try:
+            for employee in employees[:40]:
+                batch = [Receiver([employee])]
+
+                def body(txn, batch=batch):
+                    txn.apply_method(method, batch)
+                    return txn
+
+                run_transaction(store, body)
+                counts.append(
+                    (
+                        len(store.cache.interner),
+                        len(store.cache._plan_entries),
+                    )
+                )
+        finally:
+            store.close()
+        assert len(set(counts)) == 1, counts
+
+    def test_a_taken_candidate_name_is_skipped(self):
+        from repro.sqlsim.scenarios import scenario_c_method
+
+        method = scenario_c_method()
+        out = method.output_attribute("salary")
+        body = method.expression("salary")
+        plain = par_transform(body, method.object_schema, method.signature)
+        assert self._shadows(plain)[0] == "self__1"
+        # The same statement, with its output column passing through
+        # the first candidate name on the way out.
+        detour = Rename(Rename(body, out, "self__1"), "self__1", out)
+        transformed = par_transform(
+            detour, method.object_schema, method.signature
+        )
+        shadows = self._shadows(transformed)
+        assert shadows and "self__1" not in shadows
+        assert len(set(shadows)) == len(shadows)
+        db_schema = par_db_schema(method.object_schema, method.signature)
+        assert infer_schema(transformed, db_schema) == infer_schema(
+            plain, db_schema
+        )

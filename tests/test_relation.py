@@ -90,6 +90,21 @@ class TestRelationOps:
         assert renamed.schema.names == ("z", "b")
         assert renamed.tuples == relation.tuples
 
+    def test_rename_is_zero_copy_and_fingerprints_like_a_fresh_relation(
+        self, relation
+    ):
+        relation.fingerprint  # warm the accumulator the rename shares
+        renamed = relation.rename("a", "z")
+        fresh = Relation(relation.schema.rename("a", "z"), relation.tuples)
+        assert renamed.tuples is relation.tuples
+        assert renamed == fresh
+        assert renamed.fingerprint == fresh.fingerprint
+        assert renamed.fingerprint != relation.fingerprint
+        # The accumulator is shared only when it exists; a cold rename
+        # computes the same fingerprint on demand.
+        cold = Relation(relation.schema, relation.tuples).rename("a", "z")
+        assert cold.fingerprint == fresh.fingerprint
+
     def test_column(self, relation):
         assert relation.column("a") == {1, 2, 3}
 
