@@ -12,8 +12,9 @@ tracer:
 * **engine** — the ``par(E)`` statement of the algebraic twin (B')
   evaluated through the memoizing engine (``engine.evaluate``,
   ``engine.join_region``, cache-hit instant events);
-* **parallel** — ``M_par`` applied to the (B') key set, worker spans
-  nested under the ``parallel.apply`` batch span via a thread pool;
+* **parallel** — ``M_par`` applied to the (B') key set, its
+  ``parallel.statement`` span nested under the ``parallel.apply``
+  batch span;
 * **chase / decision** — the decision procedure on (B') and on the
   order-dependent (C'), with per-chase-step spans and the
   representative-set-size gauge.
@@ -78,7 +79,7 @@ def main() -> None:
             )
             for r in fresh
         ]
-        apply_parallel(method_b, instance, receivers, max_workers=4)
+        apply_parallel(method_b, instance, receivers)
 
         # -- chase + decision: (B') is key-order independent, (C') is
         # not; both runs chase the reduction's dependencies ------------

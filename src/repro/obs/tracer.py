@@ -14,11 +14,11 @@ workloads (``bench_engine.test_disabled_tracing_overhead``).
 Thread model: each thread keeps its own open-span stack, so concurrent
 workers never corrupt each other's nesting.  A worker thread initially
 has an *empty* stack; to nest its spans under the span that spawned it
-(the ``M_par`` batch span over its statement workers), wrap the worker
-callable with :meth:`Tracer.wrap`, which captures the current span at
-wrap time and installs it as the worker thread's parent for the
-duration of the call.  All cross-thread structure mutations (root list,
-child lists, event list) happen under one lock.
+(a batch span over its pool workers), wrap the worker callable with
+:meth:`Tracer.wrap`, which captures the current span at wrap time and
+installs it as the worker thread's parent for the duration of the
+call.  All cross-thread structure mutations (root list, child lists,
+event list) happen under one lock.
 """
 
 from __future__ import annotations

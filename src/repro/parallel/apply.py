@@ -17,30 +17,21 @@ exploits that ``M(I, t) = M_par(I, {t})`` (Lemma 6.7 on the trivially-key
 singleton set): it folds singleton :func:`parallel_changes` steps over
 the database, with one :class:`EngineCache` shared by all steps.
 
-Resilience (PR 5): :func:`apply_adaptive` runs the Theorem 5.12
+Resilience: :func:`apply_adaptive` runs the Theorem 5.12
 classification under a :class:`~repro.resilience.budget.Budget` and
 degrades gracefully — parallel only when independence is *proven*
 within budget, paper-correct sequential application otherwise (same
-final state, bounded decision latency).  The ``max_workers`` thread
-fan-out runs under a supervisor that catches worker crashes and
-retries each failed statement sequentially with exponential backoff +
-jitter (:func:`repro.resilience.retry.retry_call`).
+final state, bounded decision latency).  The statements of one
+``M_par`` are evaluated in the calling thread: the parallelism is the
+set-oriented ``par(E_a)``, one evaluation per statement for the whole
+receiver set.  Every error a statement raises (:class:`UpdateTypeError`,
+:class:`~repro.resilience.budget.BudgetExceeded`, an injected
+``parallel.worker`` fault) reaches the caller unchanged.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.obs import tracer as trace
 from repro.obs.metrics import global_registry
@@ -62,10 +53,8 @@ from repro.relational.database import Database
 from repro.relational.delta import RelationDelta
 from repro.relational.engine import EngineCache, QueryEngine
 from repro.relational.relation import Relation, RelationError
-from repro.resilience import budget as resilience_budget
-from repro.resilience.budget import Budget, BudgetExceeded
+from repro.resilience.budget import Budget
 from repro.resilience.faults import PARALLEL_WORKER, fault_point
-from repro.resilience.retry import RetryPolicy, retry_call
 
 
 def rec_relation(
@@ -160,91 +149,8 @@ def method_read_relations(
     return frozenset(names)
 
 
-#: Backoff for statements whose pool worker crashed: short, capped, and
-#: jittered — crashed statements re-run in the supervising thread, so
-#: the sleeps only pace genuinely flaky re-execution.
-WORKER_RETRY_POLICY = RetryPolicy(
-    retries=3, base_delay=0.002, factor=2.0, max_delay=0.05
-)
-
-
-def _supervised_fan_out(
-    worker: Callable[[str], Dict[Obj, Set[Obj]]],
-    labels: Sequence[str],
-    max_workers: int,
-) -> List[Dict[Obj, Set[Obj]]]:
-    """Run ``worker`` over ``labels`` in a pool, surviving worker crashes.
-
-    Two failure kinds pass through untouched: :class:`UpdateTypeError`
-    (a semantic error — the statement is *wrong*, re-running cannot fix
-    it) and :class:`~repro.resilience.budget.BudgetExceeded` (the
-    ambient budget tripped — retrying would burn more of it).  Any
-    other worker exception is treated as a crash: the batch **degrades
-    to sequential** for the failed statements, re-running each in the
-    supervising thread under :func:`repro.resilience.retry.retry_call`
-    (exponential backoff + jitter); only exhausted retries propagate.
-
-    The worker is wrapped for the pool the way the tracer prescribes
-    (spans nest under the batch) and, when the calling thread has an
-    ambient budget installed, bound to it — worker ticks charge the
-    same budget as the callers'.
-    """
-    registry = global_registry()
-    call = worker
-    tracer = trace.active()
-    if tracer is not None:
-        call = tracer.wrap(call)
-    budget = resilience_budget.current()
-    if budget is not None:
-        call = budget.bind(call)
-    results: Dict[str, Dict[Obj, Set[Obj]]] = {}
-    failures: List[Tuple[str, BaseException]] = []
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [(label, pool.submit(call, label)) for label in labels]
-        for label, future in futures:
-            try:
-                results[label] = future.result()
-            except (UpdateTypeError, BudgetExceeded):
-                # Fatal — re-running cannot help, so don't let the pool
-                # context's implicit shutdown drain every still-queued
-                # statement before the error surfaces: cancel the queue
-                # and propagate immediately.  Workers already running
-                # finish (their results are simply dropped); the error
-                # latency no longer scales with the batch size.
-                cancelled = sum(
-                    1 for _label, f in futures if f.cancel()
-                )
-                pool.shutdown(wait=False, cancel_futures=True)
-                if cancelled:
-                    registry.counter(
-                        "parallel.futures_cancelled"
-                    ).inc(cancelled)
-                raise
-            except Exception as error:
-                failures.append((label, error))
-    if failures:
-        registry.counter("parallel.worker_crashes").inc(len(failures))
-        trace.event(
-            "parallel.workers_degraded",
-            category="parallel",
-            statements=len(failures),
-            error=type(failures[0][1]).__name__,
-        )
-    for label, _error in failures:
-        results[label] = retry_call(
-            lambda label=label: worker(label),
-            policy=WORKER_RETRY_POLICY,
-            retryable=(Exception,),
-            giveup=(UpdateTypeError, BudgetExceeded),
-            label=f"parallel.worker[{label}]",
-        )
-    return [results[label] for label in labels]
-
-
 def _batch_span(
-    method: AlgebraicUpdateMethod,
-    receivers: Sequence[Receiver],
-    max_workers: Optional[int],
+    method: AlgebraicUpdateMethod, receivers: Sequence[Receiver]
 ):
     """The ``parallel.apply`` span of one ``M_par`` application (and its
     batch metrics), shared by the relational and the graph write-back."""
@@ -256,7 +162,6 @@ def _batch_span(
         category="parallel",
         receivers=len(receivers),
         statements=len(method.updated_properties),
-        workers=max_workers or 1,
     )
 
 
@@ -265,7 +170,6 @@ def _statement_updates(
     database: Database,
     receivers: Sequence[Receiver],
     cache: Optional[EngineCache],
-    max_workers: Optional[int],
 ) -> Dict[str, Dict[Obj, Set[Obj]]]:
     """``par(E_a)`` over ``database`` plus ``rec``, for every statement.
 
@@ -276,7 +180,6 @@ def _statement_updates(
     share — the ``rec`` projections, duplicated statement bodies — are
     computed once.
     """
-    labels = method.updated_properties
     engine = QueryEngine(
         database.with_relation(
             REC, rec_relation(method.signature, receivers)
@@ -284,7 +187,8 @@ def _statement_updates(
         cache=cache,
     )
 
-    def statement_updates(label: str) -> Dict[Obj, Set[Obj]]:
+    updates: Dict[str, Dict[Obj, Set[Obj]]] = {}
+    for label in method.updated_properties:
         fault_point(PARALLEL_WORKER)
         with trace.span(
             "parallel.statement", category="parallel", label=label
@@ -305,13 +209,8 @@ def _statement_updates(
                     f"outside class {target_class}"
                 )
             by_receiver.setdefault(row[self_position], set()).add(value)
-        return by_receiver
-
-    if max_workers is not None and max_workers > 1 and len(labels) > 1:
-        by_label = _supervised_fan_out(statement_updates, labels, max_workers)
-    else:
-        by_label = [statement_updates(label) for label in labels]
-    return dict(zip(labels, by_label))
+        updates[label] = by_receiver
+    return updates
 
 
 def parallel_changes(
@@ -319,7 +218,6 @@ def parallel_changes(
     database: Database,
     receivers: Iterable[Receiver],
     cache: Optional[EngineCache] = None,
-    max_workers: Optional[int] = None,
 ) -> Dict[str, RelationDelta]:
     """``M_par(I, T)`` on the relational representation of ``I``.
 
@@ -343,10 +241,8 @@ def parallel_changes(
     """
     receivers = list(receivers)
     schema = method.object_schema
-    with _batch_span(method, receivers, max_workers) as batch:
-        updates = _statement_updates(
-            method, database, receivers, cache, max_workers
-        )
+    with _batch_span(method, receivers) as batch:
+        updates = _statement_updates(method, database, receivers, cache)
         receiving_objects = {r.receiving_object for r in receivers}
         changes: Dict[str, RelationDelta] = {}
         for label, by_receiver in updates.items():
@@ -383,7 +279,6 @@ def apply_parallel(
     instance: Instance,
     receivers: Iterable[Receiver],
     cache: Optional[EngineCache] = None,
-    max_workers: Optional[int] = None,
 ) -> Instance:
     """``M_par(I, T)`` (Definition 6.2) on the object-base graph.
 
@@ -394,22 +289,11 @@ def apply_parallel(
     Pass a shared ``cache`` when applying several ``M_par`` across
     related states: subtrees whose base relations kept their content
     fingerprints are re-served instead of re-evaluated.
-
-    The statements of ``M_par`` are independent by definition
-    (simultaneous semantics), so with ``max_workers > 1`` they are
-    evaluated by a thread pool; worker spans nest under the batch span
-    via :meth:`~repro.obs.tracer.Tracer.wrap`.  Workers share the
-    engine's memo — a subtree raced by two statements is at worst
-    computed twice (both arrive at the same relation), never wrongly.
     """
     receivers = list(receivers)
-    with _batch_span(method, receivers, max_workers):
+    with _batch_span(method, receivers):
         updates = _statement_updates(
-            method,
-            instance_to_database(instance),
-            receivers,
-            cache,
-            max_workers,
+            method, instance_to_database(instance), receivers, cache
         )
         receiving_objects = {r.receiving_object for r in receivers}
         result = instance
@@ -447,7 +331,6 @@ def apply_adaptive(
     instance: Instance,
     receivers: Iterable[Receiver],
     cache: Optional[EngineCache] = None,
-    max_workers: Optional[int] = None,
     budget: Optional[Budget] = None,
     max_partitions: Optional[int] = None,
     verdict: Optional[str] = None,
@@ -479,13 +362,7 @@ def apply_adaptive(
     mode = choose_apply_mode(verdict, receivers)
     if mode == "parallel":
         registry.counter("parallel.adaptive.parallel").inc()
-        return apply_parallel(
-            method,
-            instance,
-            receivers,
-            cache=cache,
-            max_workers=max_workers,
-        )
+        return apply_parallel(method, instance, receivers, cache=cache)
     registry.counter("parallel.adaptive.sequential").inc()
     if verdict == UNKNOWN:
         registry.counter("parallel.adaptive.unknown").inc()
@@ -504,7 +381,6 @@ def apply_parallel_transactional(
     store,
     method: AlgebraicUpdateMethod,
     receivers: Iterable[Receiver],
-    max_workers: Optional[int] = None,
     retries: int = 5,
 ):
     """Apply a receiver batch as one transaction against a versioned store.
@@ -533,7 +409,6 @@ def apply_parallel_transactional(
         store,
         lambda txn: txn.apply_method(method, receivers),
         retries=retries,
-        max_workers=max_workers,
     )
     return version
 

@@ -11,22 +11,19 @@ selections over the ``n``-fold product of ``R`` with itself.
 implements the conditional (``guarded``).
 
 :func:`estimated_join_size` is the System-R style output-size estimate
-the query engine's greedy join planner ranks candidate factors by.
-Optimizer v2 threads a :class:`StatsCatalog` through it: per-relation
+the query engine's greedy join planner ranks candidate factors by.  The
+engine threads a :class:`StatsCatalog` through it: per-relation
 *sampled* n-distinct counts (Chao's estimator over a deterministic
 sample, so a 10^5-row relation is not fully scanned per candidate
-factor per planning step) and a *correlated-predicate correction*
-learned from :class:`~repro.relational.engine.EngineStats` actuals —
-the observed ``actual/estimated`` ratio per join-condition signature,
-folded back multiplicatively into later estimates.  The catalog only
-ever influences *plan shape* (join order); results are identical with
-or without it (a hypothesis property pins this down).
+factor per planning step).  The catalog only ever influences *plan
+shape* (join order); results are identical whatever it estimates (a
+hypothesis property pins this down).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.relational.algebra import (
     Expr,
@@ -40,60 +37,35 @@ from repro.relational.database import DatabaseSchema
 from repro.relational.evaluate import infer_schema
 from repro.relational.relation import Relation, RelationError
 
-#: A join-condition signature: the sorted attribute pairs of one
-#: candidate equi-join, the key under which corrections are learned.
-JoinSignature = Tuple[Tuple[str, str], ...]
-
-
-def join_signature(pairs: Sequence[Tuple[str, str]]) -> JoinSignature:
-    """Canonical signature of an equi-join condition set."""
-    return tuple(sorted(tuple(sorted(pair)) for pair in pairs))
+#: Rows an n-distinct estimate reads: relations up to this size are
+#: counted exactly, larger ones through a sample of this many rows.
+SAMPLE_SIZE = 1024
 
 
 class StatsCatalog:
-    """Feedback-driven statistics behind :func:`estimated_join_size`.
+    """Sampled statistics behind :func:`estimated_join_size`.
 
-    Two tables, both learned during execution:
-
-    * ``n-distinct``: per ``(relation fingerprint, attribute)``, the
-      distinct-value count — exact for relations up to ``sample_size``
-      rows, otherwise Chao's 1984 estimator over a deterministic
-      ``sample_size``-row sample (singletons² / 2·doubletons bias
-      correction, clamped to ``[seen, len(relation)]``).  Keyed by
-      content fingerprint, so shared relation objects across database
-      states (``apply_delta`` keeps unchanged relations) hit the cache.
-
-    * ``corrections``: per join-condition signature, an EWMA of the
-      observed ``actual/estimated`` output-size ratio, clamped to
-      ``[1/64, 64]``.  Multi-pair signatures are where the independence
-      assumption fails (correlated predicates); the correction repairs
-      exactly that systematic error on the next plan.
+    One table: per ``(relation fingerprint, attribute)``, the
+    distinct-value count — exact for relations up to
+    :data:`SAMPLE_SIZE` rows, otherwise Chao's 1984 estimator over a
+    deterministic :data:`SAMPLE_SIZE`-row sample (singletons² /
+    2·doubletons bias correction, clamped to ``[seen, len(relation)]``).
+    Keyed by content fingerprint, so shared relation objects across
+    database states (``apply_delta`` keeps unchanged relations) hit the
+    cache.
 
     The catalog affects join *ordering* only — never results.
     """
 
-    def __init__(
-        self, sample_size: int = 1024, smoothing: float = 0.5
-    ) -> None:
-        self.sample_size = sample_size
-        self.smoothing = smoothing
+    def __init__(self) -> None:
         self._ndistinct: Dict[Tuple[int, str], int] = {}
-        self._corrections: Dict[JoinSignature, float] = {}
-        self.observations: int = 0
-        #: Bounded tail of ``(signature, estimated, actual)`` join
-        #: observations — the plan-quality series the benchmarks emit.
-        self.recent: List[Tuple[JoinSignature, float, int]] = []
 
     def __len__(self) -> int:
         return len(self._ndistinct)
 
     def clear(self) -> None:
         self._ndistinct.clear()
-        self._corrections.clear()
-        self.observations = 0
-        self.recent.clear()
 
-    # -- n-distinct ----------------------------------------------------
     def ndistinct(self, relation: Relation, attr: str) -> int:
         """(Sampled) distinct-value count of ``relation.attr``."""
         rows = len(relation)
@@ -110,7 +82,7 @@ class StatsCatalog:
             if cached is not None:
                 return cached
         position = relation.schema.position(attr)
-        if rows <= self.sample_size:
+        if rows <= SAMPLE_SIZE:
             estimate = len({row[position] for row in relation.tuples}) or 1
         else:
             estimate = self._chao_estimate(relation, position, rows)
@@ -125,11 +97,11 @@ class StatsCatalog:
     def _chao_estimate(
         self, relation: Relation, position: int, rows: int
     ) -> int:
-        """Chao84 over the first ``sample_size`` rows of the (stable)
+        """Chao84 over the first :data:`SAMPLE_SIZE` rows of the (stable)
         set iteration order: ``d ≈ seen + singletons² / (2·doubletons)``."""
         counts: Dict[object, int] = {}
         for index, row in enumerate(relation.tuples):
-            if index >= self.sample_size:
+            if index >= SAMPLE_SIZE:
                 break
             value = row[position]
             counts[value] = counts.get(value, 0) + 1
@@ -144,39 +116,12 @@ class StatsCatalog:
             estimate = seen
         return max(seen, min(rows, int(estimate))) or 1
 
-    # -- correlated-predicate corrections ------------------------------
-    def correction(self, signature: JoinSignature) -> float:
-        """The learned multiplier for ``signature`` (1.0 when unseen)."""
-        return self._corrections.get(signature, 1.0)
-
-    def observe_join(
-        self,
-        signature: JoinSignature,
-        estimated: float,
-        actual: int,
-    ) -> None:
-        """Fold one executed join's actual output size back in."""
-        ratio = (actual + 1.0) / (estimated + 1.0)
-        ratio = min(64.0, max(1.0 / 64.0, ratio))
-        previous = self._corrections.get(signature)
-        if previous is None:
-            blended = ratio
-        else:
-            blended = (
-                previous * (1.0 - self.smoothing) + ratio * self.smoothing
-            )
-        self._corrections[signature] = blended
-        self.observations += 1
-        self.recent.append((signature, estimated, actual))
-        if len(self.recent) > 256:
-            del self.recent[:128]
-
 
 def estimated_join_size(
     left: Relation,
     right: Relation,
     pairs: Sequence[Tuple[str, str]],
-    catalog: "StatsCatalog" = None,
+    catalog: Optional[StatsCatalog] = None,
 ) -> float:
     """Estimated output size of an equi-join on ``pairs``.
 
@@ -184,9 +129,7 @@ def estimated_join_size(
     product size and divide, per join column pair, by the larger of the
     two distinct-value counts.  With no pairs this is the exact product
     size.  Without a ``catalog`` the distinct counts are exact (a full
-    column scan — fine for small relations); with one they are sampled
-    and the learned correlated-predicate correction for this condition
-    signature is applied, so repeated plans converge toward actuals.
+    column scan — fine for small relations); with one they are sampled.
     """
     size = float(len(left) * len(right))
     for left_attr, right_attr in pairs:
@@ -197,8 +140,6 @@ def estimated_join_size(
             left_distinct = len(left.column(left_attr)) or 1
             right_distinct = len(right.column(right_attr)) or 1
         size /= max(left_distinct, right_distinct)
-    if catalog is not None and pairs:
-        size *= catalog.correction(join_signature(pairs))
     return size
 
 

@@ -47,16 +47,15 @@ changes through one more layer:
 
 Optimizer v2 adds one more layer on the hot path:
 
-* **Plan cache + stats feedback.**  The join order and pushdown shape
-  chosen for a region is memoized in the shared :class:`EngineCache`,
-  keyed like the schema memo (interned node + base-relation schemas)
-  and guarded by base-relation fingerprints with a size-drift band — a
-  stable workload plans once (``plan_cache_hits``), and replans only on
-  real cardinality drift (``replans``).  Fresh plans rank candidate
-  joins through the shared
-  :class:`~repro.relational.cardinality.StatsCatalog`: sampled
-  n-distinct estimates plus correlated-predicate corrections learned
-  from executed-join actuals.
+* **Plan cache + sampled statistics.**  The join order and pushdown
+  shape chosen for a region is memoized in the shared
+  :class:`EngineCache`, keyed like the schema memo (interned node +
+  base-relation schemas) and guarded by base-relation fingerprints
+  with a size-drift band — a stable workload plans once
+  (``plan_cache_hits``), and replans only on real cardinality drift
+  (``replans``).  Fresh plans rank candidate joins through the shared
+  :class:`~repro.relational.cardinality.StatsCatalog`'s sampled
+  n-distinct estimates.
 
 Results are always identical to
 :func:`repro.relational.evaluate.evaluate` (the differential-testing
@@ -91,11 +90,7 @@ from repro.relational.algebra import (
     children,
     walk,
 )
-from repro.relational.cardinality import (
-    StatsCatalog,
-    estimated_join_size,
-    join_signature,
-)
+from repro.relational.cardinality import StatsCatalog, estimated_join_size
 from repro.resilience.budget import Budget
 from repro.resilience.budget import applied as budget_applied
 from repro.resilience.budget import tick as budget_tick
@@ -236,9 +231,8 @@ class EngineCache:
         self._schemas: Dict[tuple, RelationSchema] = {}
         self._base_rels: Dict[int, Tuple[str, ...]] = {}
         self._plan_entries: Dict[tuple, _CachedPlan] = {}
-        #: Optimizer-v2 statistics (sampled n-distinct, learned join
-        #: corrections), shared by every engine bound to this cache so
-        #: feedback from one state's execution improves the next's plans.
+        #: Sampled n-distinct estimates, shared by every engine bound to
+        #: this cache so a relation kept across states is sampled once.
         self.stats_catalog = StatsCatalog()
 
     def __len__(self) -> int:
@@ -257,7 +251,7 @@ class EngineCache:
         and the statistics catalog — i.e. stay plan-warm but force
         actual re-execution.  Used by benchmarks measuring executor
         throughput, and handy for bounding memory on long workloads
-        without losing the learned planning state."""
+        without losing the planning state."""
         self._results.clear()
 
     def base_relations(self, node: Expr) -> Tuple[str, ...]:
@@ -1028,7 +1022,7 @@ class _RegionPlanner:
         self, relations: Sequence[Relation]
     ) -> Tuple[Relation, Tuple[Tuple[str, int], ...]]:
         """Greedy cardinality-guided join, recording the step sequence
-        for the plan cache and feeding actuals back to the catalog."""
+        for the plan cache."""
         catalog = self._catalog
         recorded: List[Tuple[str, int]] = []
         order = sorted(
@@ -1076,11 +1070,6 @@ class _RegionPlanner:
                 index, factor = remaining.pop(position)
                 recorded.append(("join", index))
                 current = self._hash_join(current, factor, best_pairs)
-                # Feedback: the executed join's actual output size
-                # trains the correlated-predicate correction.
-                catalog.observe_join(
-                    join_signature(best_pairs), best[0], len(current)
-                )
                 self._consume_pairs(best_pairs)
                 conds = ", ".join(f"{a}={b}" for a, b in best_pairs)
                 self._steps.append(

@@ -11,12 +11,12 @@ finish in time" a first-class outcome instead of a hang:
   decision entry points turn into the ``UNKNOWN`` verdict.
 * :mod:`~repro.resilience.retry` — one exponential-backoff-with-full-
   jitter implementation (:func:`retry_call`, :class:`RetryPolicy`) for
-  transaction retries and the parallel applicator's worker supervisor.
+  transaction retries and shard-worker restarts.
 * :mod:`~repro.resilience.breaker` — a :class:`CircuitBreaker` guarding
   the store's semantic-commute tier against pathological schemas.
 * :mod:`~repro.resilience.faults` — deterministic, seedable fault
   injection (:class:`FaultPlan`, :func:`fault_point`) at named sites in
-  the engine, chase, worker pool, and WAL.
+  the engine, chase, ``M_par`` statements, and WAL.
 
 Every primitive follows the :mod:`repro.obs` discipline: disabled cost
 is one load and an ``is None`` test (gated ``<5%`` by

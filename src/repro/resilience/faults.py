@@ -6,7 +6,8 @@ stack: the four expensive layers expose **named fault sites** —
 
 * :data:`ENGINE_EVALUATE` — entry of every engine evaluation,
 * :data:`CHASE_STEP` — each applied chase rule,
-* :data:`PARALLEL_WORKER` — each ``M_par`` statement worker,
+* :data:`PARALLEL_WORKER` — each ``M_par`` statement, before its
+  ``par(E_a)`` is evaluated,
 * :data:`WAL_APPEND` — each log append, before any byte is written —
 
 and a :class:`FaultPlan` injects **exceptions**, **delays**, or

@@ -12,8 +12,8 @@ half the deterministic schedule's.
 Everything is injectable for tests and chaos runs: the RNG (seed it
 for reproducible schedules), the sleeper, and the retryability
 predicate.  :func:`retry_call` is adopted by
-:func:`repro.store.txn.run_transaction` (conflict aborts) and the
-parallel applicator's worker supervisor (crashed statement workers).
+:func:`repro.store.txn.run_transaction` (conflict aborts), and the
+shard supervisor paces worker restarts with :meth:`RetryPolicy.delay`.
 """
 
 from __future__ import annotations

@@ -35,6 +35,10 @@ shedding is an *operational decision* and must show up in forensics.
 admits, queues grow unboundedly): the ablation arm of
 ``benchmarks/bench_server.py``, which measures exactly the latency
 collapse this module exists to prevent.
+
+The ladder is static: its caps and the backoff hint are fixed at
+construction.  :meth:`AdmissionController.stats` reports the in-flight
+count, the high-water marks and the admitted and shed totals.
 """
 
 from __future__ import annotations
@@ -87,25 +91,6 @@ class AdmissionController:
         by how far past high water the backlog is.
     enabled:
         ``False`` = admit everything (the benchmark ablation arm).
-    adaptive:
-        Learn an EWMA of *measured* per-request service time (fed by
-        :meth:`observe`) and derive the backoff hint from it instead of
-        the static ``retry_after_ms``: a client told to come back after
-        roughly one service time per queued request ahead of it retries
-        when a slot is plausibly free, rather than after an arbitrary
-        constant that is too short for heavy workloads (futile retries)
-        and too long for light ones (idle capacity).  With
-        ``adaptive=False`` (the default) behaviour is bit-identical to
-        the static controller.
-    ewma_alpha:
-        Smoothing factor of the service-time EWMA (higher = reacts
-        faster, forgets faster).
-    target_queue_delay_ms:
-        Optional latency goal: when set (requires ``adaptive``), the
-        effective queue high water shrinks to roughly
-        ``target / ewma_service_time`` — bounding the queueing delay a
-        just-admitted request can experience — never growing past the
-        static ``queue_high_water`` cap.
     """
 
     def __init__(
@@ -115,22 +100,10 @@ class AdmissionController:
         breaker: Optional[CircuitBreaker] = None,
         retry_after_ms: float = 50.0,
         enabled: bool = True,
-        adaptive: bool = False,
-        ewma_alpha: float = 0.2,
-        target_queue_delay_ms: Optional[float] = None,
     ) -> None:
         if queue_high_water < 1:
             raise ValueError(
                 f"queue_high_water must be >= 1, got {queue_high_water}"
-            )
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(
-                f"ewma_alpha must be in (0, 1], got {ewma_alpha}"
-            )
-        if target_queue_delay_ms is not None and not adaptive:
-            raise ValueError(
-                "target_queue_delay_ms needs adaptive=True (it is "
-                "derived from the measured service time)"
             )
         self.queue_high_water = queue_high_water
         self.connection_high_water = (
@@ -141,13 +114,8 @@ class AdmissionController:
         self.breaker = breaker
         self.retry_after_ms = retry_after_ms
         self.enabled = enabled
-        self.adaptive = adaptive
-        self.ewma_alpha = ewma_alpha
-        self.target_queue_delay_ms = target_queue_delay_ms
         self._lock = threading.Lock()
         self._in_flight = 0
-        self._ewma_ms: Optional[float] = None
-        self._observed = 0
         self.admitted_total = 0
         self.shed_total = 0
 
@@ -167,52 +135,6 @@ class AdmissionController:
     def exit(self) -> None:
         with self._lock:
             self._in_flight -= 1
-
-    def observe(self, service_time_ms: float) -> None:
-        """Feed one request's measured service time into the EWMA.
-
-        Cheap no-op unless ``adaptive`` — the server calls this on
-        every completed request, so the static path must stay free.
-        """
-        if not self.adaptive or service_time_ms < 0.0:
-            return
-        with self._lock:
-            if self._ewma_ms is None:
-                self._ewma_ms = service_time_ms
-            else:
-                self._ewma_ms += self.ewma_alpha * (
-                    service_time_ms - self._ewma_ms
-                )
-            self._observed += 1
-            ewma = self._ewma_ms
-        global_registry().gauge("server.admission.ewma_ms").set(ewma)
-
-    # -- derived knobs -------------------------------------------------
-    @property
-    def ewma_service_time_ms(self) -> Optional[float]:
-        """The learned service-time estimate (``None`` before data)."""
-        with self._lock:
-            return self._ewma_ms
-
-    def _base_retry_after_ms(self) -> float:
-        """The backoff unit: learned service time when adaptive (and
-        warmed up), the static hint otherwise."""
-        if self.adaptive:
-            with self._lock:
-                ewma = self._ewma_ms
-            if ewma is not None:
-                return max(1.0, ewma)
-        return self.retry_after_ms
-
-    def _effective_queue_high_water(self) -> int:
-        """The queue cap, shrunk to the latency goal when one is set."""
-        if self.adaptive and self.target_queue_delay_ms is not None:
-            with self._lock:
-                ewma = self._ewma_ms
-            if ewma is not None and ewma > 0.0:
-                derived = int(self.target_queue_delay_ms / ewma)
-                return max(1, min(self.queue_high_water, derived))
-        return self.queue_high_water
 
     # -- the ladder ----------------------------------------------------
     def admit(
@@ -237,38 +159,34 @@ class AdmissionController:
                 "deadline",
                 retry_after_ms=None,
             )
-        base_retry = self._base_retry_after_ms()
         if self.breaker is not None and self.breaker.state == OPEN:
             return self._shed(
                 op,
                 protocol.OVERLOADED,
                 "breaker",
                 retry_after_ms=max(
-                    base_retry,
+                    self.retry_after_ms,
                     self.breaker.reset_timeout * 1000.0,
                 ),
             )
-        high_water = self._effective_queue_high_water()
         with self._lock:
             depth = self._in_flight
-        if depth >= high_water:
+        if depth >= self.queue_high_water:
             # Hint proportional to backlog: a client arriving at 2x
-            # high water should stay away roughly twice as long (and,
-            # when adaptive, one backoff unit is one learned service
-            # time — the time for one queued slot to drain).
-            scale = depth / high_water
+            # high water should stay away roughly twice as long.
+            scale = depth / self.queue_high_water
             return self._shed(
                 op,
                 protocol.OVERLOADED,
                 "queue",
-                retry_after_ms=base_retry * scale,
+                retry_after_ms=self.retry_after_ms * scale,
             )
         if connection_depth >= self.connection_high_water:
             return self._shed(
                 op,
                 protocol.OVERLOADED,
                 "connection",
-                retry_after_ms=base_retry,
+                retry_after_ms=self.retry_after_ms,
             )
         return ADMIT
 
@@ -296,8 +214,6 @@ class AdmissionController:
         )
 
     def stats(self) -> Dict[str, object]:
-        effective_high_water = self._effective_queue_high_water()
-        effective_retry = self._base_retry_after_ms()
         with self._lock:
             return {
                 "enabled": self.enabled,
@@ -311,11 +227,6 @@ class AdmissionController:
                     if self.breaker is not None
                     else None
                 ),
-                "adaptive": self.adaptive,
-                "ewma_service_time_ms": self._ewma_ms,
-                "observed_requests": self._observed,
-                "effective_queue_high_water": effective_high_water,
-                "effective_retry_after_ms": effective_retry,
             }
 
 

@@ -88,7 +88,18 @@ class _Connection:
     async def send(self, message: Mapping[str, Any]) -> None:
         if self.closed:
             return
-        frame = protocol.encode_frame(message)
+        try:
+            frame = protocol.encode_frame(message)
+        except ProtocolError as exc:
+            # A reply over the frame cap: answer its request with a
+            # typed error and keep serving the connection.
+            frame = protocol.encode_frame(
+                protocol.error_response(
+                    message.get("id"),
+                    protocol.BAD_REQUEST,
+                    f"reply not sent: {exc}",
+                )
+            )
         async with self.write_lock:
             try:
                 self.writer.write(frame)
@@ -323,7 +334,6 @@ class ReproServer:
             request_id, op, params, deadline, ctx = (
                 await connection.queue.get()
             )
-            started = time.monotonic()
             try:
                 try:
                     response = await loop.run_in_executor(
@@ -346,11 +356,6 @@ class ReproServer:
                 await connection.send(response)
             finally:
                 self.admission.exit()
-                # Feed the adaptive controller the measured service
-                # time (a no-op on the static path).
-                self.admission.observe(
-                    (time.monotonic() - started) * 1000.0
-                )
 
     def _abandon_queue(self, connection: _Connection) -> None:
         """Release admission slots held by never-executed queue entries.

@@ -69,7 +69,6 @@ def scenario_b_receivers(store: VersionedStore) -> Tuple[Receiver, ...]:
 def run_scenario_b(
     store: VersionedStore,
     receivers: Optional[Sequence[Receiver]] = None,
-    max_workers: Optional[int] = None,
     retries: int = 5,
 ) -> Version:
     """Commit update (B') over ``receivers`` as one transaction.
@@ -98,9 +97,7 @@ def run_scenario_b(
         )
         return txn.apply_method(method, batch)
 
-    _, version = run_transaction(
-        store, body, retries=retries, max_workers=max_workers
-    )
+    _, version = run_transaction(store, body, retries=retries)
     return version
 
 

@@ -185,12 +185,9 @@ class Transaction:
     resolutions — the store cannot re-derive them).
     """
 
-    def __init__(
-        self, store: VersionedStore, max_workers: Optional[int] = None
-    ) -> None:
+    def __init__(self, store: VersionedStore) -> None:
         self.store = store
         self.id = store._allocate_txn_id()
-        self.max_workers = max_workers
         self.snapshot: Snapshot = store.snapshot()
         self.status = ACTIVE
         self._reads: Set[str] = set()
@@ -302,10 +299,7 @@ class Transaction:
         self._stage(changes)
 
     def apply_method(
-        self,
-        method,
-        receivers: Iterable[Receiver],
-        max_workers: Optional[int] = None,
+        self, method, receivers: Iterable[Receiver]
     ) -> Dict[str, RelationDelta]:
         """Apply ``M_par(I, T)`` to the working state.
 
@@ -324,14 +318,7 @@ class Transaction:
         ):
             self._reads.update(method_read_relations(method))
             changes = parallel_changes(
-                method,
-                self._database,
-                receivers,
-                cache=self.store.cache,
-                max_workers=(
-                    max_workers if max_workers is not None
-                    else self.max_workers
-                ),
+                method, self._database, receivers, cache=self.store.cache
             )
             self._operations.append(
                 MethodApplication(method, receivers)
@@ -437,11 +424,7 @@ class Transaction:
         ):
             for op in self._operations:
                 changes = parallel_changes(
-                    op.method,
-                    database,
-                    op.receivers,
-                    cache=self.store.cache,
-                    max_workers=self.max_workers,
+                    op.method, database, op.receivers, cache=self.store.cache
                 )
                 staged = compose_changes(staged, changes)
                 database = database.apply_delta(changes)
@@ -611,7 +594,6 @@ def run_transaction(
     body: Callable[[Transaction], T],
     retries: int = 5,
     backoff: float = 0.001,
-    max_workers: Optional[int] = None,
     rng: Optional[random.Random] = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> Tuple[T, Version]:
@@ -635,7 +617,7 @@ def run_transaction(
     def attempt() -> Tuple[T, Version]:
         nonlocal attempts
         attempts += 1
-        txn = Transaction(store, max_workers=max_workers)
+        txn = Transaction(store)
         txn.attempt = attempts
         try:
             result = body(txn)

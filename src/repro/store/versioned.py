@@ -462,11 +462,11 @@ class VersionedStore:
         )
         return version
 
-    def begin(self, max_workers: Optional[int] = None):
+    def begin(self):
         """Start an optimistic transaction pinned to the current head."""
         from repro.store.txn import Transaction
 
-        return Transaction(self, max_workers=max_workers)
+        return Transaction(self)
 
     # -- maintenance ---------------------------------------------------
     def checkpoint(self, compact: bool = False) -> Version:

@@ -22,9 +22,10 @@ Since optimizer v2 the battery also has a *relational* face:
 and whose value column is strongly *correlated* with the key — exactly
 the shape on which the System-R independence assumption misestimates a
 two-pair equi-join.  The engine's
-:class:`~repro.relational.cardinality.StatsCatalog` must learn the
-correction from actuals, and the plan cache must hold across the
-repeated σ(×) queries.
+:class:`~repro.relational.cardinality.StatsCatalog` estimates it from
+sampled n-distinct counts, results must equal the reference
+``evaluate`` whatever the estimate, and the plan cache must hold across
+the repeated σ(×) queries.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ class SkewedJoinBattery:
       the skewed-key hash join and the sampled n-distinct estimate.
     * ``correlated_join`` — σ_{fv=dv}(σ_{fk=dk}(Fact × Dim)): two join
       pairs over *correlated* columns (``fv`` tracks ``fk`` for most
-      rows), the case the independence assumption misestimates and the
-      catalog's learned correction repairs.
+      rows), the case the independence assumption misestimates; the
+      misestimate changes at most the join order, never the rows.
     * ``projected_join`` — π_{fk,fv} of the correlated join: heavy
       duplicate elimination, the π-dedup kernel's case.
     """

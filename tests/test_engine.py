@@ -525,19 +525,27 @@ def test_string_and_int_keyed_joins_match_evaluate():
 
 
 # ----------------------------------------------------------------------
-# Stats feedback and plan cache: plans only, results never
+# Stats catalog and plan cache: plans only, results never
 # ----------------------------------------------------------------------
+#: Extreme n-distinct estimates: every column constant, or every value
+#: distinct (floored at 1, as the catalog's own estimate is).
+_NDISTINCT_EXTREMES = {
+    "one": lambda relation, attr: 1,
+    "rows": lambda relation, attr: len(relation) or 1,
+}
+
+
 @given(
     engine_expressions(),
     databases(),
-    st.sampled_from([1.0 / 64.0, 64.0]),
+    st.sampled_from(sorted(_NDISTINCT_EXTREMES)),
 )
 @settings(max_examples=100, deadline=None)
 def test_catalog_corrections_never_alter_results(expr, database, extreme):
     cache = EngineCache()
-    # Saturate every learned correction at a clamp boundary: join
-    # orderings may flip, results may not.
-    cache.stats_catalog.correction = lambda signature: extreme
+    # Pin every n-distinct estimate at an extreme: join orderings may
+    # flip, results may not.
+    cache.stats_catalog.ndistinct = _NDISTINCT_EXTREMES[extreme]
     engine = QueryEngine(database, cache=cache)
     assert engine.evaluate(expr) == evaluate(expr, database)
 

@@ -363,17 +363,14 @@ def test_explain_timings_labels_cached_nodes():
 
 
 # ----------------------------------------------------------------------
-# Wiring: spans cover the four layers; threaded apply is equivalent
+# Wiring: spans cover the four layers; traced apply is equivalent
 # ----------------------------------------------------------------------
 def test_apply_parallel_threaded_equals_sequential():
     method, instance, receivers = _b_workload(12)
     sequential = apply_sequence(method, instance, receivers)
-    assert (
-        apply_parallel(method, instance, receivers, max_workers=4)
-        == sequential
-    )
+    assert apply_parallel(method, instance, receivers) == sequential
     with trace.tracing() as tracer:
-        apply_parallel(method, instance, receivers, max_workers=4)
+        apply_parallel(method, instance, receivers)
     names = [s.name for s in tracer.spans]
     assert "parallel.apply" in names
     statements = [

@@ -262,48 +262,6 @@ class TestRelationalWritePath:
             )
 
 
-# ----------------------------------------------------------------------
-# Fan-out fatal-error latency (the cancel_futures fix)
-# ----------------------------------------------------------------------
-class TestFanOutFatalLatency:
-    def test_fatal_error_cancels_the_queue_instead_of_draining_it(self):
-        """A fatal statement error must surface without waiting for
-        every still-queued worker: before the fix, the pool context's
-        shutdown drained the whole queue first, so the latency scaled
-        with the batch size (here >= 1.2s); with pending futures
-        cancelled it is bounded by one in-flight task."""
-        import time as _time
-
-        from repro.algebraic.expression import UpdateTypeError
-        from repro.parallel.apply import _supervised_fan_out
-
-        labels = [f"s{i}" for i in range(10)]
-
-        def worker(label):
-            if label == "s0":
-                raise UpdateTypeError("statement s0 is wrong")
-            _time.sleep(0.3)
-            return {}
-
-        started = _time.monotonic()
-        with pytest.raises(UpdateTypeError):
-            _supervised_fan_out(worker, labels, max_workers=2)
-        elapsed = _time.monotonic() - started
-        # 10 labels / 2 workers at 0.3s each would be ~1.5s if the
-        # queue drained; one in-flight task bounds the fixed path.
-        assert elapsed < 1.0, f"fatal error took {elapsed:.2f}s to surface"
-
-    def test_budget_exhaustion_also_short_circuits(self):
-        from repro.parallel.apply import _supervised_fan_out
-        from repro.resilience.budget import Budget, BudgetExceeded
-
-        def worker(label):
-            raise BudgetExceeded("budget", "test.site", Budget())
-
-        with pytest.raises(BudgetExceeded):
-            _supervised_fan_out(worker, ["a", "b", "c"], max_workers=2)
-
-
 class TestStableShadowNames:
     """``par(E)`` names its renamed-apart ``self`` columns by a counter
     local to one transform, so the same statement always transforms to

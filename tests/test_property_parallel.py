@@ -112,14 +112,13 @@ def test_relational_m_par_matches_the_graph_reference(
 ):
     """Prop. 5.1: ``M_par`` on the database, as a change set, lands on
     the representation of the graph ``M_par`` — for key sets and for
-    arbitrary (non-key) receiver sets, with one statement or two fanned
-    out to worker threads."""
+    arbitrary (non-key) receiver sets, with one statement or two."""
     case = make_case(seed, n_statements, receiver_set)
     if case is None:
         return
     method, instance, receivers = case
     database = instance_to_database(instance)
-    changes = parallel_changes(method, database, receivers, max_workers=2)
+    changes = parallel_changes(method, database, receivers)
     assert database.apply_delta(changes) == instance_to_database(
         apply_parallel(method, instance, receivers)
     )

@@ -99,8 +99,8 @@ def b_workload(size=8):
 
 
 def two_statement_workload():
-    """The Prop 5.14 only-if method: two statements, so the parallel
-    applicator actually fans out to a worker pool."""
+    """The Prop 5.14 only-if method: two statements, so ``M_par``
+    evaluates more than one ``par(E_a)``."""
     method, _ = prop_5_14_only_if_direction()
     schema = method.object_schema
     objs = [Obj("C", i) for i in range(4)]
@@ -701,38 +701,20 @@ class TestAdaptiveApply:
 
 
 # ----------------------------------------------------------------------
-# Supervised worker fan-out
+# Errors raised inside an M_par statement
 # ----------------------------------------------------------------------
 class TestSupervisedFanOut:
-    def test_crashed_worker_is_retried_to_the_clean_result(self):
-        method, instance, receivers = two_statement_workload()
-        reference = apply_parallel(
-            method, instance, receivers, max_workers=2
-        )
-        crashes = global_registry().counter("parallel.worker_crashes")
-        before = crashes.value
-        plan = FaultPlan().error_at(PARALLEL_WORKER, at=0)
-        with plan.installed():
-            result = apply_parallel(
-                method, instance, receivers, max_workers=2
-            )
-        assert result == reference
-        assert crashes.value == before + 1
-        assert [f.site for f in plan.firings] == [PARALLEL_WORKER]
+    """Every statement of ``M_par`` runs in the calling thread, so an
+    error raised inside one reaches the caller unchanged."""
 
     def test_semantic_errors_are_not_retried(self):
         method, instance, receivers = two_statement_workload()
-        crashes = global_registry().counter("parallel.worker_crashes")
-        before = crashes.value
         plan = FaultPlan().error_at(
             PARALLEL_WORKER, at=0, error_type=UpdateTypeError
         )
         with plan.installed():
             with pytest.raises(UpdateTypeError):
-                apply_parallel(
-                    method, instance, receivers, max_workers=2
-                )
-        assert crashes.value == before  # not treated as a crash
+                apply_parallel(method, instance, receivers)
 
     def test_exhausted_worker_retries_propagate(self):
         method, instance, receivers = two_statement_workload()
@@ -741,17 +723,13 @@ class TestSupervisedFanOut:
         )
         with plan.installed():
             with pytest.raises(FaultError):
-                apply_parallel(
-                    method, instance, receivers, max_workers=2
-                )
+                apply_parallel(method, instance, receivers)
 
     def test_budget_exhaustion_crosses_the_pool_boundary(self):
         method, instance, receivers = two_statement_workload()
         with pytest.raises(BudgetExceeded):
             with Budget(max_steps=1):
-                apply_parallel(
-                    method, instance, receivers, max_workers=2
-                )
+                apply_parallel(method, instance, receivers)
 
 
 # ----------------------------------------------------------------------

@@ -165,12 +165,11 @@ def test_plan_driven_wal_kill_recovers_a_clean_prefix(kill_at, tmp_path):
 
 
 def test_probabilistic_worker_chaos_is_correct_or_fails_cleanly():
-    """Seeded random worker crashes: the supervisor either retries its
-    way to the exact clean result or propagates after exhausting
-    retries — the input instance is never half-updated (applications
-    are pure)."""
+    """Seeded random statement faults: an application either reaches
+    the exact clean result or propagates the fault — the input instance
+    is never half-updated (applications are pure)."""
     method, instance, receivers = two_statement_workload()
-    reference = apply_parallel(method, instance, receivers, max_workers=2)
+    reference = apply_parallel(method, instance, receivers)
     from repro.resilience.faults import PARALLEL_WORKER
 
     outcomes = []
@@ -180,9 +179,7 @@ def test_probabilistic_worker_chaos_is_correct_or_fails_cleanly():
         )
         with plan.installed():
             try:
-                result = apply_parallel(
-                    method, instance, receivers, max_workers=2
-                )
+                result = apply_parallel(method, instance, receivers)
             except FaultError:
                 outcomes.append("exhausted")
                 continue
@@ -197,9 +194,7 @@ def test_probabilistic_worker_chaos_is_correct_or_fails_cleanly():
         )
         with plan.installed():
             try:
-                apply_parallel(
-                    method, instance, receivers, max_workers=2
-                )
+                apply_parallel(method, instance, receivers)
             except FaultError:
                 replay.append("exhausted")
                 continue

@@ -163,94 +163,6 @@ def test_admission_disabled_is_a_pass_through():
     assert controller.admit("ping", connection_depth=999).admitted
 
 
-def test_adaptive_admission_learns_the_backoff_from_service_time():
-    """The EWMA replaces the static hint once warmed: a shed's
-    ``retry_after_ms`` is roughly one measured service time per queued
-    slot ahead, not an arbitrary constant."""
-    controller = AdmissionController(
-        queue_high_water=2, retry_after_ms=50.0, adaptive=True,
-        ewma_alpha=0.5,
-    )
-    # Cold: no observations yet, the static hint still applies.
-    controller.enter()
-    controller.enter()
-    cold = controller.admit("ping")
-    assert cold.shed and cold.retry_after_ms == 50.0
-    # Warm the estimate to ~8ms.
-    for _ in range(8):
-        controller.observe(8.0)
-    stats = controller.stats()
-    assert stats["observed_requests"] == 8
-    assert abs(stats["ewma_service_time_ms"] - 8.0) < 1e-9
-    warm = controller.admit("ping")
-    assert warm.shed and warm.reason == "queue"
-    # depth == high water ⇒ one backoff unit == one service time.
-    assert abs(warm.retry_after_ms - 8.0) < 1e-9
-    connection = controller.admit("ping", connection_depth=2)
-    assert connection.shed
-    assert abs(connection.retry_after_ms - 8.0) < 1e-9
-    controller.exit()
-    controller.exit()
-    # The EWMA converges toward a shifted load, never below 1ms.
-    for _ in range(20):
-        controller.observe(0.01)
-    assert controller.ewma_service_time_ms < 1.0
-    controller.enter()
-    controller.enter()
-    floor = controller.admit("ping")
-    assert floor.shed and floor.retry_after_ms >= 1.0
-
-
-def test_adaptive_target_queue_delay_shrinks_the_high_water():
-    """``target_queue_delay_ms`` bounds queueing latency: the effective
-    high water tracks ``target / ewma``, clamped to ``[1, static]``."""
-    controller = AdmissionController(
-        queue_high_water=64, adaptive=True, ewma_alpha=1.0,
-        target_queue_delay_ms=100.0,
-    )
-    # Cold: the static cap applies.
-    assert controller.stats()["effective_queue_high_water"] == 64
-    controller.observe(25.0)  # 100ms goal / 25ms each ⇒ 4 slots
-    assert controller.stats()["effective_queue_high_water"] == 4
-    for _ in range(4):
-        controller.enter()
-    shed = controller.admit("ping")
-    assert shed.shed and shed.reason == "queue"
-    for _ in range(4):
-        controller.exit()
-    # A slow spell cannot shrink the queue to zero...
-    controller.observe(10_000.0)
-    assert controller.stats()["effective_queue_high_water"] == 1
-    # ...and a fast spell cannot grow it past the static cap.
-    controller.observe(0.001)
-    assert controller.stats()["effective_queue_high_water"] == 64
-
-
-def test_adaptive_admission_validation_and_static_isolation():
-    with pytest.raises(ValueError, match="adaptive"):
-        AdmissionController(target_queue_delay_ms=10.0)
-    with pytest.raises(ValueError, match="ewma_alpha"):
-        AdmissionController(adaptive=True, ewma_alpha=0.0)
-    with pytest.raises(ValueError, match="ewma_alpha"):
-        AdmissionController(adaptive=True, ewma_alpha=1.5)
-    # The static controller ignores observations entirely: the ladder
-    # behaves bit-identically whether or not observe() is called.
-    controller = AdmissionController(
-        queue_high_water=2, retry_after_ms=50.0
-    )
-    for _ in range(10):
-        controller.observe(500.0)
-    stats = controller.stats()
-    assert stats["observed_requests"] == 0
-    assert stats["ewma_service_time_ms"] is None
-    assert stats["effective_retry_after_ms"] == 50.0
-    assert stats["effective_queue_high_water"] == 2
-    controller.enter()
-    controller.enter()
-    shed = controller.admit("ping")
-    assert shed.shed and shed.retry_after_ms == 50.0
-
-
 # ----------------------------------------------------------------------
 # Wire semantics against the library oracle
 # ----------------------------------------------------------------------
@@ -344,6 +256,30 @@ def test_typed_errors_for_bad_requests():
         # The connection survives typed errors.
         pong = await client.ping(payload="still-alive")
         assert pong["payload"] == "still-alive"
+
+    try:
+        run_server_test(store, scenario)
+    finally:
+        store.close()
+
+
+def test_oversize_reply_is_a_typed_error_and_the_connection_lives(
+    monkeypatch,
+):
+    """A reply over the frame cap answers its request with a typed,
+    non-retryable error naming the size and the cap; the connection
+    keeps serving the requests after it."""
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 2048)
+    store, _ = company_store(n_employees=64)
+
+    async def scenario(server, client):
+        with pytest.raises(ServerError) as err:
+            await asyncio.wait_for(client.query("Employee.salary"), 3.0)
+        assert err.value.code == protocol.BAD_REQUEST
+        assert not err.value.retryable
+        assert "2048-byte cap" in str(err.value)
+        pong = await asyncio.wait_for(client.ping(payload="after"), 3.0)
+        assert pong["payload"] == "after"
 
     try:
         run_server_test(store, scenario)
@@ -456,30 +392,6 @@ def test_overload_sheds_typed_and_never_hangs():
         run_server_test(
             store, scenario, admission=admission, handler_threads=1
         )
-    finally:
-        store.close()
-
-
-def test_adaptive_admission_observes_live_service_times():
-    """The server feeds every completed request's measured service
-    time into an adaptive controller: the EWMA warms up from live
-    traffic, so shed hints track the workload instead of a constant."""
-    store, _ = company_store(n_employees=4)
-    admission = AdmissionController(adaptive=True, queue_high_water=32)
-
-    async def scenario(server, client):
-        for i in range(6):
-            await client.ping(payload=i, delay_ms=5)
-        stats = server.admission.stats()
-        assert stats["adaptive"] is True
-        assert stats["observed_requests"] >= 6
-        # Every observed request slept >= 5ms in the handler, so the
-        # learned estimate must sit at or above that.
-        assert stats["ewma_service_time_ms"] >= 4.0
-        assert stats["effective_retry_after_ms"] >= 4.0
-
-    try:
-        run_server_test(store, scenario, admission=admission)
     finally:
         store.close()
 

@@ -516,9 +516,7 @@ class TestParallelIntegration:
 
     def test_apply_parallel_transactional(self, store, method):
         receivers = receivers_of(store)
-        version = apply_parallel_transactional(
-            store, method, receivers, max_workers=2
-        )
+        version = apply_parallel_transactional(store, method, receivers)
         assert version is store.head
         expected = apply_parallel(
             method, store.version(0).instance, receivers
