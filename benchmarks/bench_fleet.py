@@ -5,7 +5,8 @@ Three series, written to ``BENCH_fleet.json``:
 * ``fleet.mttr_s`` — mean time to repair: wall time from the first
   supervised call that trips over a killed worker to the healed reply,
   covering detection (pipe EOF), epoch-fenced restart from the shard's
-  own WAL, and incremental catch-up.
+  own WAL, and incremental catch-up.  One point per run: the best of
+  its repetitions, as the resync series record.
 * ``fleet.resync.tail_s`` vs ``fleet.resync.full_s`` — the healing
   ladder's two recovery rungs on a fleet holding ~10^5 partitioned
   rows: staging only the missing tail of coordinator deltas against
@@ -53,7 +54,8 @@ def _leave_behind(store, receivers, method, count=BEHIND_COMMITS):
 @fork_only
 def test_fleet_mttr(tmp_path):
     """Kill a worker, then time the supervised call that heals it:
-    detection, restart from the shard WAL, and catch-up to the head."""
+    detection, restart from the shard WAL, and catch-up to the head.
+    The run records one point, the best of its repetitions."""
     instance, receivers = sharded_company(n_employees=256)
     method = scenario_b_method()
     best = float("inf")
@@ -78,11 +80,11 @@ def test_fleet_mttr(tmp_path):
             assert store.supervisor.restarts[0] >= 1
             assert store.supervisor.degraded_shards() == ()
             store.verify_consistent()
-            record_timing("fleet.mttr_s", elapsed)
             best = min(best, elapsed)
         finally:
             store.close()
     assert best < float("inf")
+    record_timing("fleet.mttr_s", best)
 
 
 @pytest.mark.benchmark_acceptance

@@ -32,7 +32,7 @@ Acceptance gate (``benchmark_acceptance``):
 ``test_admission_ablation_gate`` — with shedding on, p99 latency of
 *admitted* requests must beat the shedding-off p99 by >= 2x, while
 completed-transaction throughput stays within 10% of the unshedded
-arm.  That is the whole point of the ladder: the server gives up
+arm, both compared on the median of three alternating runs per arm.  That is the whole point of the ladder: the server gives up
 capacity it never had, and the requests it does accept keep their
 latency.
 """
@@ -40,6 +40,7 @@ latency.
 from __future__ import annotations
 
 import asyncio
+import statistics
 import time
 from typing import Dict, List
 
@@ -62,6 +63,8 @@ SERVICE_MS = 2.0
 OVERDRIVE = 4.0
 REQUESTS = 240
 QUEUE_HIGH_WATER = 8
+#: Runs per arm of the ablation gate, alternating on/off.
+ABLATION_RUNS = 3
 
 
 def percentile(values: List[float], fraction: float) -> float:
@@ -247,9 +250,23 @@ def test_query_scan_reply():
 
 @pytest.mark.benchmark_acceptance
 def test_admission_ablation_gate():
-    """Shedding on: admitted p99 >= 2x better; txn/s within 10%."""
-    on = open_loop_run(enabled=True)
-    off = open_loop_run(enabled=False)
+    """Shedding on: admitted p99 >= 2x better; txn/s within 10%.
+
+    The arms run alternately, :data:`ABLATION_RUNS` times each, and the
+    gate compares per-arm medians (the recorded series are those
+    medians): one slow run on a loaded host no longer decides it.
+    """
+    runs: Dict[bool, List[Dict[str, float]]] = {True: [], False: []}
+    for _ in range(ABLATION_RUNS):
+        for enabled in (True, False):
+            runs[enabled].append(open_loop_run(enabled=enabled))
+    on, off = (
+        {
+            key: statistics.median(run[key] for run in runs[enabled])
+            for key in runs[enabled][0]
+        }
+        for enabled in (True, False)
+    )
 
     for arm, label in ((on, "shed_on"), (off, "shed_off")):
         record_timing(f"server.load.p50.{label}", arm["p50"])
@@ -258,8 +275,12 @@ def test_admission_ablation_gate():
         record_timing(f"server.load.txn_cost.{label}", arm["txn_cost"])
 
     # The ablation really sheds on one arm and not the other.
-    assert on["shed"] > 0, "overload never tripped the ladder"
-    assert off["shed"] == 0, "the disabled arm must admit everything"
+    assert all(run["shed"] > 0 for run in runs[True]), (
+        "overload never tripped the ladder"
+    )
+    assert all(run["shed"] == 0 for run in runs[False]), (
+        "the disabled arm must admit everything"
+    )
     # The gate: bounded queues buy admitted-request latency...
     assert off["p99"] >= 2.0 * on["p99"], (
         f"admission bought only {off['p99'] / on['p99']:.2f}x at p99 "

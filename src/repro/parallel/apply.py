@@ -227,8 +227,10 @@ def parallel_changes(
     absent before, deletions present before).  By Proposition 5.1 this
     is Definition 6.2 itself: ``par(E_a)`` is evaluated over
     ``database`` plus ``rec``, and each receiving object's old
-    ``a``-values — read from ``C.a`` in one pass — are replaced by the
-    new ones.  ``database.apply_delta(changes)`` equals
+    ``a``-values — looked up in the first-column index of ``C.a``
+    (:meth:`~repro.relational.relation.Relation.index`), so the read
+    costs the receivers, not the relation — are replaced by the new
+    ones.  ``database.apply_delta(changes)`` equals
     ``instance_to_database(apply_parallel(method, I, receivers))``.
 
     The written rows keep the representation's inclusion dependencies:
@@ -247,10 +249,7 @@ def parallel_changes(
         changes: Dict[str, RelationDelta] = {}
         for label, by_receiver in updates.items():
             name = property_relation_name(schema, label)
-            old: Dict[Obj, Set[Obj]] = {}
-            for source, value in database.relation(name):
-                if source in receiving_objects:
-                    old.setdefault(source, set()).add(value)
+            old_rows = database.relation(name).index(0)
             extent = database.relation(
                 class_relation_name(schema.edge(label).source)
             ).tuples
@@ -258,7 +257,7 @@ def parallel_changes(
             deleted: Set[Tuple[Obj, Obj]] = set()
             for obj in receiving_objects:
                 values = by_receiver.get(obj, set())
-                old_values = old.get(obj, set())
+                old_values = {value for _, value in old_rows.get(obj, ())}
                 added = values - old_values
                 if added and (obj,) not in extent:
                     raise SchemaError(

@@ -25,7 +25,12 @@ occurrence of an updated property relation.
   prunes unused columns before joining, and orders joins greedily by the
   :func:`~repro.relational.cardinality.estimated_join_size` estimate
   (ties broken by actual size, then original position — the plan is
-  deterministic).
+  deterministic).  A base relation joined to a running intermediate
+  at least :data:`INDEX_JOIN_RATIO` times smaller is probed through
+  its column index (:meth:`~repro.relational.relation.Relation.index`)
+  instead of scanned, and a base relation pruned to one column is read
+  off that column's index keys, so a region seeded from a small
+  relation such as ``rec`` costs its own size, not the state's.
 
 * **Observability.**  Per-operator counters (calls, rows in/out,
   hash-build sizes, wall time) in :class:`EngineStats`, and
@@ -66,6 +71,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import (
     Dict,
     List,
@@ -110,6 +116,12 @@ from repro.relational.relation import (
 )
 
 Condition = Tuple[str, str, bool]  # (left attr, right attr, equal?)
+
+#: The index-join size rule: a join step probes a base-relation factor's
+#: column index once per row of the running intermediate when
+#: ``INDEX_JOIN_RATIO * len(intermediate) < len(factor)``, and hash-joins
+#: otherwise, so joins of full-size relations keep one scan each.
+INDEX_JOIN_RATIO = 4
 
 
 # ----------------------------------------------------------------------
@@ -478,11 +490,18 @@ class _PlanEntry:
 # ----------------------------------------------------------------------
 @dataclass
 class _Factor:
-    """A join-region factor: an interned node plus pending renames."""
+    """A join-region factor: an interned node plus pending renames.
+
+    For a ``Rel`` node, ``base`` is the state's relation, whose column
+    indexes the index join probes, and ``kept`` holds, per column of
+    the factor's pruned relation, that column's position in ``base``
+    (renames keep positions)."""
 
     node: Expr
     names: Tuple[str, ...]
     renames: List[Tuple[str, str]]
+    base: Optional[Relation] = None
+    kept: Tuple[int, ...] = ()
 
 
 class QueryEngine:
@@ -839,16 +858,32 @@ class _RegionPlanner:
         for old, new in factor.renames:
             relation = relation.rename(old, new)
             self._stats.op("rename").record(len(relation), len(relation))
-        keep = [n for n in relation.schema.names if n in needed]
-        if len(keep) != relation.schema.arity:
+        names = relation.schema.names
+        factor.kept = tuple(i for i, n in enumerate(names) if n in needed)
+        if isinstance(factor.node, Rel):
+            # The state's own relation object (the memo may serve an
+            # equal one from an earlier state): its indexes are the
+            # ones updated() carries from state to state.
+            factor.base = self._engine._database.relation(factor.node.name)
+        if len(factor.kept) != len(names):
+            keep = [names[i] for i in factor.kept]
             start = time.perf_counter()
-            pruned = relation.project(keep)
+            if factor.base is not None and len(keep) == 1:
+                # One column of a base relation: its index's keys.
+                keys = factor.base.index(factor.kept[0])
+                pruned = Relation._from_rows(
+                    relation.schema.project(keep), frozenset(zip(keys))
+                )
+                rows_in, note = len(keys), " (index keys)"
+            else:
+                pruned = relation.project(keep)
+                rows_in, note = len(relation), ""
             self._stats.op("project").record(
-                len(relation), len(pruned), time.perf_counter() - start
+                rows_in, len(pruned), time.perf_counter() - start
             )
             self._steps.append(
                 f"prune {factor_label(factor.node)} to "
-                f"[{', '.join(keep)}]  rows={len(pruned)}"
+                f"[{', '.join(keep)}]{note}  rows={len(pruned)}"
             )
             relation = pruned
         return relation
@@ -892,6 +927,68 @@ class _RegionPlanner:
             time.perf_counter() - start,
         )
         return result
+
+    def _index_join(
+        self,
+        left: Relation,
+        right: Relation,
+        factor: _Factor,
+        pairs: Sequence[Tuple[str, str]],
+    ) -> Relation:
+        """Equi-join the running intermediate ``left`` with the
+        base-relation factor ``right``: each row of ``left`` looks its
+        key up in the base relation's index on the first pair's column,
+        and the other pairs filter the matches.  Same rows, schema and
+        column order as :meth:`_hash_join`; recorded as one
+        ``index_join`` op whose rows in are ``left`` plus the matches."""
+        start = time.perf_counter()
+        left_schema, right_schema = left.schema, right.schema
+        (probe_attr, index_attr), *rest = pairs
+        probe = left_schema.position(probe_attr)
+        kept = factor.kept
+        lookup = factor.base.index(kept[right_schema.position(index_attr)]).get
+        checks = [
+            (left_schema.position(a), kept[right_schema.position(b)])
+            for a, b in rest
+        ]
+        if len(kept) == factor.base.schema.arity:
+            pick = None
+        elif len(kept) > 1:
+            pick = itemgetter(*kept)
+        else:
+            pick = itemgetter(slice(kept[0], kept[0] + 1))
+        rows = set()
+        examined = 0
+        for row in left.tuples:
+            matches = lookup(row[probe])
+            if not matches:
+                continue
+            examined += len(matches)
+            for match in matches:
+                if checks and any(row[a] != match[b] for a, b in checks):
+                    continue
+                rows.add(row + (match if pick is None else pick(match)))
+        result = Relation._from_rows(left_schema.concat(right_schema), rows)
+        self._stats.op("index_join").record(
+            len(left) + examined,
+            len(result),
+            time.perf_counter() - start,
+        )
+        return result
+
+    def _join(
+        self,
+        current: Relation,
+        factor: Relation,
+        index: int,
+        pairs: Sequence[Tuple[str, str]],
+    ) -> Tuple[Relation, str]:
+        """One join step under the :data:`INDEX_JOIN_RATIO` size rule;
+        returns the result and the join kind for ``explain``."""
+        source = self._factors[index]
+        if source.base is not None and INDEX_JOIN_RATIO * len(current) < len(factor):
+            return self._index_join(current, factor, source, pairs), "index join"
+        return self._hash_join(current, factor, pairs), "hash join"
 
     def _connecting_pairs(
         self, current_names: Set[str], factor_names: Set[str]
@@ -982,11 +1079,11 @@ class _RegionPlanner:
                 set(current.schema.names), set(factor.schema.names)
             )
             if kind == "join" and pairs:
-                current = self._hash_join(current, factor, pairs)
+                current, how = self._join(current, factor, index, pairs)
                 self._consume_pairs(pairs)
                 conds = ", ".join(f"{a}={b}" for a, b in pairs)
                 self._steps.append(
-                    f"hash join {factor_label(self._factors[index].node)} "
+                    f"{how} {factor_label(self._factors[index].node)} "
                     f"on ({conds})  rows={len(current)}"
                 )
             else:
@@ -1069,11 +1166,11 @@ class _RegionPlanner:
                 position = best[3]
                 index, factor = remaining.pop(position)
                 recorded.append(("join", index))
-                current = self._hash_join(current, factor, best_pairs)
+                current, how = self._join(current, factor, index, best_pairs)
                 self._consume_pairs(best_pairs)
                 conds = ", ".join(f"{a}={b}" for a, b in best_pairs)
                 self._steps.append(
-                    f"hash join {factor_label(self._factors[index].node)} "
+                    f"{how} {factor_label(self._factors[index].node)} "
                     f"on ({conds})  est={best[0]:.1f}  rows={len(current)}"
                 )
             current = self._apply_local(current)

@@ -24,6 +24,7 @@ test suite checks them against each other — only faster.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.relational.algebra import (
@@ -90,8 +91,12 @@ def hash_join(
     ``left``'s columns followed by ``right``'s.  Rows joined from two
     validated relations are valid, so the result skips re-validation.
     The engine's region planner and :func:`join_factors` both join
-    through here.
+    through here.  Join keys come from :func:`operator.itemgetter`
+    (a value for one pair, a tuple for several, alike on both sides),
+    so extracting them runs in C.
     """
+    if not pairs:
+        return left.product(right)
     if len(right) <= len(left):
         build, probe, swap = right, left, False
         build_attrs = [b for _, b in pairs]
@@ -100,18 +105,24 @@ def hash_join(
         build, probe, swap = left, right, True
         build_attrs = [a for a, _ in pairs]
         probe_attrs = [b for _, b in pairs]
-    build_positions = [build.schema.position(a) for a in build_attrs]
-    probe_positions = [probe.schema.position(a) for a in probe_attrs]
+    build_key = itemgetter(*[build.schema.position(a) for a in build_attrs])
+    probe_key = itemgetter(*[probe.schema.position(a) for a in probe_attrs])
     schema = left.schema.concat(right.schema)
-    index: Dict[Tuple, List[Tuple]] = {}
-    for row in build:
-        index.setdefault(
-            tuple(row[p] for p in build_positions), []
-        ).append(row)
+    index: Dict[object, List[Tuple]] = {}
+    build_rows = build.tuples
+    for key, row in zip(map(build_key, build_rows), build_rows):
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = [row]
+        else:
+            bucket.append(row)
     rows = set()
-    for row in probe:
-        for match in index.get(tuple(row[p] for p in probe_positions), ()):
-            rows.add(match + row if swap else row + match)
+    probe_rows = probe.tuples
+    probe_matches = map(index.get, map(probe_key, probe_rows))
+    for matches, row in zip(probe_matches, probe_rows):
+        if matches:
+            for match in matches:
+                rows.add(match + row if swap else row + match)
     return Relation._from_rows(schema, rows)
 
 

@@ -14,10 +14,13 @@ generic (the Section 7 SQL layer uses plain Python values).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import (
+    Dict,
     FrozenSet,
     Iterable,
     Iterator,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -52,6 +55,62 @@ def _fp_scramble(value: int) -> int:
 def tuple_fingerprint(row: Tuple) -> int:
     """The scrambled 64-bit fingerprint of one tuple."""
     return _fp_scramble(hash(row))
+
+
+# ----------------------------------------------------------------------
+# Column indexes
+# ----------------------------------------------------------------------
+#: A column index maps each value of one column to the frozenset of rows
+#: holding it.  A published index is never mutated: building or patching
+#: one makes a new dict, published with one assignment, so a reader on
+#: another thread sees the old index or the new one, never a half-made
+#: one.
+ColumnIndex = Mapping[object, FrozenSet[Tuple]]
+
+_NO_ROWS: FrozenSet[Tuple] = frozenset()
+
+
+def _build_index(rows: FrozenSet[Tuple], position: int) -> ColumnIndex:
+    keys = list(map(itemgetter(position), rows))
+    if len(set(keys)) == len(keys):
+        # A key column: one row per value, every bucket built in C.
+        return dict(zip(keys, map(frozenset, zip(rows))))
+    groups: Dict[object, list] = {}
+    for key, row in zip(keys, rows):
+        bucket = groups.get(key)
+        if bucket is None:
+            groups[key] = [row]
+        else:
+            bucket.append(row)
+    return {key: frozenset(bucket) for key, bucket in groups.items()}
+
+
+def _patched_index(
+    index: ColumnIndex,
+    position: int,
+    added: Iterable[Tuple],
+    removed: Iterable[Tuple],
+) -> ColumnIndex:
+    """``index`` after a delta: a copy of the dict in which only the
+    values the delta touches get new buckets (``added`` and ``removed``
+    are disjoint, ``removed`` rows are indexed, ``added`` rows are not)."""
+    touched: Dict[object, Tuple[list, list]] = {}
+    for row in removed:
+        touched.setdefault(row[position], ([], []))[0].append(row)
+    for row in added:
+        touched.setdefault(row[position], ([], []))[1].append(row)
+    patched = dict(index)
+    for key, (gone, new) in touched.items():
+        bucket = index.get(key, _NO_ROWS)
+        if gone:
+            bucket = bucket.difference(gone)
+        if new:
+            bucket = bucket.union(new)
+        if bucket:
+            patched[key] = bucket
+        else:
+            del patched[key]
+    return patched
 
 
 @dataclass(frozen=True, order=True)
@@ -153,9 +212,14 @@ def schema_of(*pairs: Tuple[str, str]) -> RelationSchema:
 
 
 class Relation:
-    """A finite, typed relation: a schema plus a set of tuples."""
+    """A finite, typed relation: a schema plus a set of tuples.
 
-    __slots__ = ("_schema", "_tuples", "_tuple_xor", "_fp")
+    A relation may also hold per-column hash indexes (:meth:`index`),
+    a cache beside its value: equality, hashing, the fingerprint and
+    pickling ignore them.
+    """
+
+    __slots__ = ("_schema", "_tuples", "_tuple_xor", "_fp", "_indexes")
 
     def __init__(
         self,
@@ -173,6 +237,7 @@ class Relation:
         self._tuples = rows
         self._tuple_xor: Optional[int] = None
         self._fp: Optional[int] = None
+        self._indexes: Optional[Dict[int, ColumnIndex]] = None
 
     @classmethod
     def _from_rows(
@@ -191,6 +256,7 @@ class Relation:
         )
         result._tuple_xor = None
         result._fp = None
+        result._indexes = None
         return result
 
     @property
@@ -225,6 +291,39 @@ class Relation:
             )
         return self._fp
 
+    def index(self, position: int) -> ColumnIndex:
+        """The hash index of column ``position``: each value in that
+        column mapped to the frozenset of rows holding it.
+
+        Built on first use and kept on the relation.  :meth:`updated`
+        carries every built index to the new state, patching only the
+        values its delta touches, and :meth:`rename` shares them.
+        """
+        indexes = self._indexes
+        if indexes is not None:
+            found = indexes.get(position)
+            if found is not None:
+                return found
+        if not 0 <= position < self._schema.arity:
+            raise RelationError(
+                f"no column {position} in {self._schema}"
+            )
+        built = _build_index(self._tuples, position)
+        published = dict(indexes) if indexes else {}
+        published[position] = built
+        self._indexes = published
+        return built
+
+    @property
+    def indexed_columns(self) -> Tuple[int, ...]:
+        """The positions of the columns whose index is built."""
+        return tuple(sorted(self._indexes or ()))
+
+    def drop_indexes(self) -> None:
+        """Forget every column index; the next :meth:`index` call on
+        this relation builds afresh."""
+        self._indexes = None
+
     def updated(
         self,
         insert: Iterable[Tuple] = (),
@@ -235,8 +334,9 @@ class Relation:
         Deletions are applied first, so a tuple in both sets ends up
         present.  The fingerprint accumulator carries over incrementally
         (XOR out the effectively removed tuples, XOR in the added ones)
-        when it has already been computed.  Returns ``self`` when the
-        update is a no-op.
+        when it has already been computed, and so does every built
+        column index (a copy of its dict with the touched values'
+        buckets replaced).  Returns ``self`` when the update is a no-op.
         """
         ins = {tuple(row) for row in insert}
         dele = {tuple(row) for row in delete}
@@ -265,12 +365,21 @@ class Relation:
             result._tuple_xor = acc
         else:
             result._tuple_xor = None
+        indexes = self._indexes
+        result._indexes = (
+            {
+                position: _patched_index(index, position, added, removed)
+                for position, index in indexes.items()
+            }
+            if indexes
+            else None
+        )
         return result
 
     def column(self, name: str) -> FrozenSet:
         """All values in the named column."""
         position = self._schema.position(name)
-        return frozenset(row[position] for row in self._tuples)
+        return frozenset(map(itemgetter(position), self._tuples))
 
     def is_empty(self) -> bool:
         return not self._tuples
@@ -322,19 +431,24 @@ class Relation:
     def project(self, names: Sequence[str]) -> "Relation":
         schema = self._schema.project(names)
         positions = [self._schema.position(n) for n in names]
-        rows = frozenset(
-            tuple(row[p] for p in positions) for row in self._tuples
-        )
+        if len(positions) > 1:
+            rows = frozenset(map(itemgetter(*positions), self._tuples))
+        elif positions:
+            rows = frozenset(zip(map(itemgetter(positions[0]), self._tuples)))
+        else:
+            rows = frozenset([()]) if self._tuples else _NO_ROWS
         return Relation._from_rows(schema, rows)
 
     def rename(self, old: str, new: str) -> "Relation":
-        """Zero-copy: the result shares this relation's tuple set and
-        fingerprint accumulator; only the schema (and so the
+        """Zero-copy: the result shares this relation's tuple set,
+        fingerprint accumulator and column indexes (a rename keeps
+        every column's position); only the schema (and so the
         fingerprint) changes."""
         result = Relation._from_rows(
             self._schema.rename(old, new), self._tuples
         )
         result._tuple_xor = self._tuple_xor
+        result._indexes = self._indexes
         return result
 
     # ------------------------------------------------------------------
@@ -348,6 +462,14 @@ class Relation:
     def __hash__(self) -> int:
         return hash((self._schema, self._tuples))
 
+    def __reduce__(self):
+        # Indexes stay in their process: a pickled relation carries its
+        # value and fingerprint accumulator only.
+        return (
+            _unpickle_relation,
+            (self._schema, self._tuples, self._tuple_xor, self._fp),
+        )
+
     def __len__(self) -> int:
         return len(self._tuples)
 
@@ -360,6 +482,18 @@ class Relation:
     def __repr__(self) -> str:
         rows = sorted(map(str, self._tuples))
         return f"Relation{self._schema}{{{', '.join(rows)}}}"
+
+
+def _unpickle_relation(
+    schema: RelationSchema,
+    rows: FrozenSet[Tuple],
+    tuple_xor: Optional[int],
+    fp: Optional[int],
+) -> Relation:
+    relation = Relation._from_rows(schema, rows)
+    relation._tuple_xor = tuple_xor
+    relation._fp = fp
+    return relation
 
 
 def empty_relation(schema: RelationSchema) -> Relation:

@@ -28,6 +28,11 @@ Versions are keyed two ways:
   relations kept their fingerprints: memoized query work survives
   across the whole version chain.
 
+Only the head's relations keep column indexes
+(:meth:`~repro.relational.relation.Relation.index`): a commit carries
+them into the new version and drops those of every relation it
+supersedes, so memory for indexes does not grow with the chain.
+
 Durability rides on :mod:`repro.store.wal`: when the store owns a log,
 every commit appends its normalized change set *before* the in-memory
 chain advances (write-ahead), and :meth:`VersionedStore.checkpoint`
@@ -451,6 +456,13 @@ class VersionedStore:
                 self.wal.append_commit(number, effective, txn_id=txn_id)
             self._versions.append(version)
             self._by_id[number] = version
+            # Column indexes live on the head: the new state carried
+            # them through Relation.updated, and the relations it
+            # supersedes drop theirs (a reader of an older version
+            # rebuilds lazily), so the chain holds one set of indexes
+            # however many versions it keeps.
+            for name in effective:
+                head.database.relation(name).drop_indexes()
             registry = global_registry()
             registry.counter("store.commits").inc()
             registry.gauge("store.versions").set_max(len(self._versions))

@@ -535,19 +535,182 @@ _NDISTINCT_EXTREMES = {
 }
 
 
-@given(
-    engine_expressions(),
-    databases(),
-    st.sampled_from(sorted(_NDISTINCT_EXTREMES)),
-)
-@settings(max_examples=100, deadline=None)
-def test_catalog_corrections_never_alter_results(expr, database, extreme):
-    cache = EngineCache()
-    # Pin every n-distinct estimate at an extreme: join orderings may
-    # flip, results may not.
-    cache.stats_catalog.ndistinct = _NDISTINCT_EXTREMES[extreme]
-    engine = QueryEngine(database, cache=cache)
-    assert engine.evaluate(expr) == evaluate(expr, database)
+@st.composite
+def candidate_regions(draw):
+    """A join region seeded from a small ``rec``, with two join
+    candidates connected to it: ``B``, a larger base relation joined on
+    its key column (sometimes through a rename, sometimes on a second
+    pair too), and ``M``, smaller, joined on a column of at most two
+    values.  Sampled n-distinct counts put ``B`` first where pinned
+    extremes put ``M`` first, and as ``rec`` and ``B`` vary in size the
+    index-join rule picks the index join on some steps and the hash
+    join on others.  Columns the output does not name are pruned, so
+    ``B`` is sometimes read off its key column's index."""
+    n_big = draw(st.integers(8, 48))
+    rec_rows = draw(
+        st.frozensets(
+            st.tuples(st.integers(0, n_big - 1), st.integers(0, 2)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    mid_rows = draw(
+        st.frozensets(
+            st.tuples(st.integers(0, 1), st.integers(0, 5)),
+            min_size=2,
+            max_size=10,
+        )
+    )
+    database = Database(
+        {
+            "rec": Relation(schema_of(("s", "int"), ("t", "int")), rec_rows),
+            "B": Relation(
+                schema_of(("bk", "int"), ("bv", "int")),
+                {(k, k % 3) for k in range(n_big)},
+            ),
+            "M": Relation(schema_of(("mk", "int"), ("mv", "int")), mid_rows),
+        }
+    )
+    big, key = Rel("B"), "bk"
+    if draw(st.booleans()):
+        big, key = Rename(big, "bk", "key"), "key"
+    region = Select(
+        Select(Product(Product(Rel("rec"), big), Rel("M")), "s", key, True),
+        "t",
+        "mk",
+        True,
+    )
+    if draw(st.booleans()):
+        region = Select(region, "t", "bv", True)
+    output = draw(st.sampled_from([("s", "mv"), ("mv", key, "s"), ("bv", "t")]))
+    return Project(region, output), database
+
+
+def _plan_orders(cache):
+    return {key: plan.steps for key, plan in cache._plan_entries.items()}
+
+
+def test_catalog_corrections_never_alter_results():
+    """Pinning every n-distinct estimate at an extreme may reorder the
+    greedy joins, never change a result.  Over the run, some pinned
+    example must plan another order than the sampled estimates, and the
+    index-join rule must pick both kinds of join, or the property
+    checked nothing."""
+    seen = {"order changed": 0, "index_join": 0, "hash_join": 0}
+
+    @given(
+        st.one_of(st.tuples(engine_expressions(), databases()), candidate_regions()),
+        st.sampled_from(sorted(_NDISTINCT_EXTREMES)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def check(case, extreme):
+        expr, database = case
+        expected = evaluate(expr, database)
+        interner = Interner()
+        sampled = EngineCache(interner)
+        assert QueryEngine(database, cache=sampled).evaluate(expr) == expected
+        pinned = EngineCache(interner)
+        pinned.stats_catalog.ndistinct = _NDISTINCT_EXTREMES[extreme]
+        engine = QueryEngine(database, cache=pinned)
+        assert engine.evaluate(expr) == expected
+        if _plan_orders(pinned) != _plan_orders(sampled):
+            seen["order changed"] += 1
+        for name in ("index_join", "hash_join"):
+            if engine.stats.op(name).calls:
+                seen[name] += 1
+
+    check()
+    assert all(seen.values()), seen
+
+
+class TestIndexJoin:
+    """The region planner's index-nested-loop join and one-column
+    read-off, on both sides of the ``INDEX_JOIN_RATIO`` rule."""
+
+    @staticmethod
+    def database(n_rec, n_big=64):
+        return Database(
+            {
+                "rec": Relation(
+                    schema_of(("s", "int")), {(k,) for k in range(n_rec)}
+                ),
+                "B": Relation(
+                    schema_of(("bk", "int"), ("bv", "int")),
+                    {(k, k % 5) for k in range(n_big)},
+                ),
+            }
+        )
+
+    JOIN = Project(
+        Select(Product(Rel("rec"), Rel("B")), "s", "bk", True), ("s", "bv")
+    )
+
+    def test_small_seed_probes_the_index(self):
+        database = self.database(n_rec=4)
+        engine = QueryEngine(database)
+        plan = engine.explain(self.JOIN)
+        assert "index join scan B on (s=bk" in plan
+        assert engine.evaluate(self.JOIN) == evaluate(self.JOIN, database)
+        op = engine.stats.op("index_join")
+        assert (op.calls, op.rows_in, op.rows_out) == (1, 8, 4)
+        assert "index_join" in engine.stats.render()
+        assert engine.stats.op("hash_join").calls == 0
+        assert database.relation("B").indexed_columns == (0,)
+
+    def test_rule_boundary_keeps_the_hash_join(self):
+        # 4 * 16 == 64: not smaller, so the factor is scanned.
+        database = self.database(n_rec=16)
+        engine = QueryEngine(database)
+        assert "hash join scan B" in engine.explain(self.JOIN)
+        assert engine.evaluate(self.JOIN) == evaluate(self.JOIN, database)
+        assert engine.stats.op("index_join").calls == 0
+        assert database.relation("B").indexed_columns == ()
+
+    def test_full_size_self_join_stays_a_hash_join(self):
+        database = self.database(n_rec=1)
+        second = Rename(Rename(Rel("B"), "bk", "k2"), "bv", "v2")
+        expr = Select(Product(Rel("B"), second), "bv", "k2", True)
+        engine = QueryEngine(database)
+        assert engine.evaluate(expr) == evaluate(expr, database)
+        assert engine.stats.op("index_join").calls == 0
+
+    def test_one_column_prune_reads_index_keys(self):
+        database = self.database(n_rec=1)
+        expr = Project(Rel("B"), ("bv",))
+        engine = QueryEngine(database)
+        plan = engine.explain(expr)
+        assert "prune scan B to [bv] (index keys)  rows=5" in plan
+        assert engine.evaluate(expr) == evaluate(expr, database)
+        assert database.relation("B").indexed_columns == (1,)
+
+    def test_index_join_on_a_pruned_renamed_factor_with_two_pairs(self):
+        database = Database(
+            {
+                "rec": Relation(
+                    schema_of(("s", "int"), ("t", "int")),
+                    {(1, 1), (2, 0), (7, 2)},
+                ),
+                "B": Relation(
+                    schema_of(("bk", "int"), ("bv", "int"), ("bw", "int")),
+                    {(k % 8, k % 3, k) for k in range(48)},
+                ),
+            }
+        )
+        big = Rename(Rel("B"), "bk", "key")
+        expr = Project(
+            Select(
+                Select(Product(Rel("rec"), big), "s", "key", True),
+                "t",
+                "bv",
+                True,
+            ),
+            ("s", "t"),
+        )
+        engine = QueryEngine(database)
+        plan = engine.explain(expr)
+        assert "prune scan B to [key__h0, bv__h1]  rows=24" in plan
+        assert "index join scan B on (s=key__h0, t=bv__h1)" in plan
+        assert engine.evaluate(expr) == evaluate(expr, database)
 
 
 def _join_case(fact_rows):
