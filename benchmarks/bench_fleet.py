@@ -14,8 +14,9 @@ Three series, written to ``BENCH_fleet.json``:
   least 5x faster — recovery cost must scale with the lag, not the
   slice.
 * ``fleet.overhead.*`` — steady-state cost of supervision with no
-  faults: an identical disjoint batch stream through a supervised and
-  an unsupervised inline fleet.  Acceptance: the supervised fleet is
+  faults: an identical (B') batch stream through a supervised and an
+  unsupervised inline fleet, each batch committed on the coordinator
+  and staged to both shards.  Acceptance: the supervised fleet is
   within 5% — the probe/epoch bookkeeping may not tax the fault-free
   path.
 """
@@ -43,7 +44,7 @@ BEHIND_COMMITS = 4
 
 def _leave_behind(store, receivers, method, count=BEHIND_COMMITS):
     """Commit straight on the coordinator: the fleet's markers stay
-    clean but fall ``count`` versions behind the head — the state every
+    known but fall ``count`` versions behind the head — the state every
     restarted worker wakes up in."""
     for receiver in receivers[:count]:
         txn = store.coordinator.begin()
@@ -92,7 +93,7 @@ def test_tail_resync_beats_full_reslice_at_1e5_rows():
     """Acceptance: incremental tail catch-up is >= 5x faster than the
     full dump-diff re-slice on a fleet holding ~10^5 partitioned rows.
 
-    Both arms heal the same shape of damage — a shard with a clean
+    Both arms heal the same shape of damage — a shard with a known
     marker a few coordinator commits behind the head — so the ratio
     isolates the ladder rungs themselves: the tail stages only the
     missing deltas, the full rung re-derives and diffs the entire
@@ -145,8 +146,9 @@ def test_tail_resync_beats_full_reslice_at_1e5_rows():
 
 @pytest.mark.benchmark_acceptance
 def test_supervision_overhead_is_negligible():
-    """Acceptance: with no faults, the supervised fleet commits an
-    identical batch stream within 5% of an unsupervised one."""
+    """Acceptance: with no faults, the supervised fleet commits and
+    stages an identical batch stream within 5% of an unsupervised
+    one."""
     instance, receivers = sharded_company(n_employees=256)
     method = scenario_b_method()
     batches = raise_batches(receivers, 16)

@@ -17,12 +17,14 @@ Series written to ``BENCH_store.json``:
   time as the WAL grows to ``L`` committed transactions; a final point
   shows checkpoint + compaction flattening the curve.
 * ``store.shard_scaling[s{N}]`` — wall time for a fixed stream of
-  disjoint update-(B') batches through a :class:`ShardedStore` with
-  ``N`` worker processes.  Every fleet must land on the sequential
-  fold's head; the 1 -> 4 ratio is recorded (higher is better), not
-  gated: with ``M_par`` on the relational state a batch costs its
-  delta plus one pass over ``Employee.salary``, so fixed pipe and
-  commit costs, not an ``O(B x E)`` walk, decide the curve.
+  disjoint-classified update-(B') batches through a
+  :class:`ShardedStore` with ``N`` worker processes.  Every batch
+  commits on the coordinator and is staged to the shards, so the
+  series times that one write route plus ``N`` shard stages per
+  batch.  Every fleet must land on the sequential fold's head; the
+  1 -> 4 ratio is recorded (higher is better), not gated: no shard
+  evaluates ``M_par``, so fixed pipe and commit costs decide the
+  curve.
 * ``store.mpar_batch[n{N}]`` — one update-(B') batch of 8 receivers
   plus its commit through :func:`run_transaction` on a
   :class:`VersionedStore` of ``N`` employees (median of 7 after 2
@@ -295,16 +297,18 @@ SHARD_BATCH = 160
 
 
 def test_shard_scaling(tmp_path):
-    """Disjoint-batch commit time through 1, 2 and 4 shard workers.
+    """Batch commit time through 1, 2 and 4 shard workers.
 
     Hand-timed (like the overlap acceptance gate): each point builds a
     fresh process-mode fleet outside the clock and times only the
-    batch stream, best of three.  Every fleet must land on the same
-    head as the receiver-level sequential fold — speed without the
-    differential guarantee is worthless.  The 1 -> 4 ratio is a
+    batch stream, best of three.  The batches still classify disjoint
+    (checked), but every one takes the one write route: a coordinator
+    commit, then a stage on each shard.  Every fleet must land on the
+    same head as the receiver-level sequential fold — speed without
+    the differential guarantee is worthless.  The 1 -> 4 ratio is a
     recorded series, not a gate: it held only while each shard walked
-    ``1/N`` of the object base per batch, and the relational ``M_par``
-    removed that walk.
+    ``1/N`` of the object base per batch, and since shards only stage
+    committed versions, more shards mean more stages per batch.
     """
     from repro.store import ShardedStore
     from repro.workloads.sharded import raise_batches
@@ -335,8 +339,8 @@ def test_shard_scaling(tmp_path):
             try:
                 start = time.perf_counter()
                 for batch in batches:
-                    _, route = store.apply_batch(method, batch)
-                    assert route.is_disjoint, route.reason
+                    _, route, staged = store.apply_batch(method, batch)
+                    assert route.is_disjoint and staged, route.reason
                 best = min(best, time.perf_counter() - start)
                 assert (
                     store.coordinator.head.database.fingerprints()

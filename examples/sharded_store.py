@@ -2,13 +2,15 @@
 
 * builds a company object base and a 4-shard fleet (one worker process
   per shard, each with its own ``VersionedStore`` + WAL);
-* routes scenario (B') raises — the router *proves* the sub-batches
-  disjoint from the method's read/write region, so each shard commits
-  with zero coordination;
-* routes a scenario (C') manager-salary update — reads its own written
-  relation, so it escalates to the coordinator's 2PC-lite path;
+* applies scenario (B') raises — the router *proves* the sub-batches
+  disjoint from the method's read/write region and reports the batch
+  ``disjoint``;
+* applies a scenario (C') manager-salary update — it reads its own
+  written relation, so the router reports it ``cross_shard``;
+* every batch, whatever its class, commits on the coordinator and is
+  staged to the shards as that committed version;
 * reassembles the shard fleet and checks it against the coordinator
-  head, then recovers the whole fleet from the coordinator WAL.
+  head, then recovers the whole fleet from its WALs.
 
 Run:  python examples/sharded_store.py
       python examples/sharded_store.py --trace trace.json --flight flight.json
@@ -55,11 +57,12 @@ def main() -> None:
             shards=shards,
             mode="process",
             wal_dir=wal_dir,
+            durability="fsync",
         )
         try:
             print("scenario (B') raises, batches of 8:")
             for batch in raise_batches(receivers, 8):
-                version, route = store.apply_batch(method_b, batch)
+                version, route, _ = store.apply_batch(method_b, batch)
                 print(
                     f"  v{version.version}: {route.kind} "
                     f"({route.reason})"
@@ -70,7 +73,7 @@ def main() -> None:
             c_batch = [
                 Receiver([r.receiving_object]) for r in receivers[:6]
             ]
-            version, route = store.apply_batch(method_c, c_batch)
+            version, route, _ = store.apply_batch(method_c, c_batch)
             print(f"  v{version.version}: {route.kind} ({route.reason})")
             print()
 
@@ -79,12 +82,12 @@ def main() -> None:
             counters = global_registry().counters()
             for name in sorted(counters):
                 if name.startswith("store.shard.") or (
-                    name.startswith("shard") and ".store.txn." in name
+                    name.startswith("shard") and name.endswith(".store.commits")
                 ):
                     print(f"  {name} = {counters[name]}")
             histograms = global_registry().histograms()
             for name in sorted(histograms):
-                if name.startswith("shard") and "commit_ms" in name:
+                if name.startswith("shard") and name.endswith("fsync_ms"):
                     p = histograms[name]["percentiles"]
                     print(
                         f"  {name}: p50={p['p50']:.3f}ms "
@@ -103,7 +106,7 @@ def main() -> None:
                 == head
             )
             recovered.verify_consistent()
-            print("\nrecovered the fleet from the coordinator WAL: ok")
+            print("\nrecovered the fleet from its WALs: ok")
         finally:
             recovered.close()
 

@@ -8,9 +8,9 @@ method's **read region** and the ``c``/``d``-colored items its **write
 region**, both expressed in the relational vocabulary of
 :mod:`repro.objrel.mapping` (class extents and ``C.a`` property
 relations).  Two receiver sub-batches whose regions are disjoint touch
-provably disjoint parts of the instance — they can commit on separate
-shards with zero coordination, which is what
-:mod:`repro.store.sharding` builds on.
+provably disjoint parts of the instance — they could commit on
+separate shards with zero coordination, which is the certificate the
+router of :mod:`repro.store.sharding` checks.
 
 Two region sources are provided:
 
@@ -55,9 +55,9 @@ class UpdateRegion:
     def reads_own_writes(self) -> bool:
         """Whether the method reads a relation it also writes.
 
-        The sharding router refuses the zero-coordination path for such
-        methods: a shard-local evaluation would miss the rows other
-        shards hold of the written relation.
+        The sharding router refuses the disjoint classification for
+        such methods: a shard-local evaluation would miss the rows
+        other shards hold of the written relation.
         """
         return bool(self.reads & self.writes)
 

@@ -392,18 +392,16 @@ def apply_parallel_transactional(
     :class:`~repro.store.versioned.Version`.
 
     A :class:`~repro.store.sharding.ShardedStore` works too: the batch
-    routes through the shard fleet (disjoint sub-batches commit on
-    their shards, anything else escalates to the coordinator) and the
-    committed *coordinator* version comes back — same contract, shard
-    topology invisible to the caller.
+    commits on its coordinator and is staged onto the shard fleet, and
+    the committed *coordinator* version comes back — same contract,
+    shard topology invisible to the caller.
     """
     from repro.store.sharding import ShardedStore
     from repro.store.txn import run_transaction
 
     receivers = list(receivers)
     if isinstance(store, ShardedStore):
-        version, _route = store.apply_batch(method, receivers)
-        return version
+        return store.apply_batch(method, receivers)[0]
     _, version = run_transaction(
         store,
         lambda txn: txn.apply_method(method, receivers),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
+from types import MappingProxyType
 from typing import (
     Dict,
     FrozenSet,
@@ -66,6 +67,10 @@ def tuple_fingerprint(row: Tuple) -> int:
 #: another thread sees the old index or the new one, never a half-made
 #: one.
 ColumnIndex = Mapping[object, FrozenSet[Tuple]]
+
+#: The index table of a relation whose indexes a commit dropped: it holds
+#: none and keeps none (see :meth:`Relation.drop_indexes`).
+_DROPPED: Mapping[int, ColumnIndex] = MappingProxyType({})
 
 _NO_ROWS: FrozenSet[Tuple] = frozenset()
 
@@ -237,7 +242,7 @@ class Relation:
         self._tuples = rows
         self._tuple_xor: Optional[int] = None
         self._fp: Optional[int] = None
-        self._indexes: Optional[Dict[int, ColumnIndex]] = None
+        self._indexes: Optional[Mapping[int, ColumnIndex]] = None
 
     @classmethod
     def _from_rows(
@@ -295,9 +300,11 @@ class Relation:
         """The hash index of column ``position``: each value in that
         column mapped to the frozenset of rows holding it.
 
-        Built on first use and kept on the relation.  :meth:`updated`
-        carries every built index to the new state, patching only the
-        values its delta touches, and :meth:`rename` shares them.
+        Built on first use and kept on the relation, unless its indexes
+        were dropped: then each call builds one and keeps none.
+        :meth:`updated` carries every built index to the new state,
+        patching only the values its delta touches, and :meth:`rename`
+        shares them.
         """
         indexes = self._indexes
         if indexes is not None:
@@ -309,6 +316,9 @@ class Relation:
                 f"no column {position} in {self._schema}"
             )
         built = _build_index(self._tuples, position)
+        indexes = self._indexes
+        if indexes is _DROPPED:
+            return built
         published = dict(indexes) if indexes else {}
         published[position] = built
         self._indexes = published
@@ -320,9 +330,12 @@ class Relation:
         return tuple(sorted(self._indexes or ()))
 
     def drop_indexes(self) -> None:
-        """Forget every column index; the next :meth:`index` call on
-        this relation builds afresh."""
-        self._indexes = None
+        """Forget every column index, for good: a commit calls this on
+        the relations it supersedes.  Later :meth:`index` calls build
+        without keeping, and :meth:`updated` and :meth:`rename` carry
+        no index from this relation, so a reader of a superseded
+        version pins none."""
+        self._indexes = _DROPPED
 
     def updated(
         self,

@@ -15,12 +15,15 @@ The session is backend-polymorphic over the two store shapes:
   runs :func:`~repro.store.txn.run_transaction` (full commit-tier
   escalation, retries on conflict);
 * a :class:`~repro.store.sharding.ShardedStore` — ``apply_batch``
-  routes through the fleet (disjoint or cross-shard, exactly as the
-  library call does), queries read the coordinator head, and explicit
-  transactions commit on the coordinator and redo onto the shards via
-  :meth:`~repro.store.sharding.ShardedStore.commit_transaction`, which
-  holds the store lock across both steps so a concurrent
-  ``apply_batch`` cannot interleave a later version between them.
+  commits on the coordinator and stages onto the fleet, exactly as the
+  library call does, and replies with the router's classification;
+  queries read the coordinator head, and explicit transactions commit
+  the same way via
+  :meth:`~repro.store.sharding.ShardedStore.commit_transaction`.  Both
+  hold the store lock across the commit and the staging, so neither
+  can interleave a later version between them, and both acknowledge a
+  committed write with ``"staging": "degraded"`` when the fleet could
+  not be brought up to it.
 
 Requests inside an explicit transaction execute in connection order
 (the server's per-connection FIFO guarantees it), so a session's
@@ -192,12 +195,16 @@ class Session:
             params.get("receivers", [])
         )
         if self.sharded:
-            version, route = self.store.apply_batch(method, receivers)
+            version, route, staged = self.store.apply_batch(
+                method, receivers
+            )
             result = {
                 "version": version.version,
                 "route": route.kind,
                 "receivers": len(receivers),
             }
+            if not staged:
+                result["staging"] = "degraded"
         else:
 
             def body(txn):

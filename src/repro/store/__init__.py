@@ -17,9 +17,10 @@ machinery:
   conflicts are resolved with the paper's order-independence theorems
   before falling back to abort/retry.
 - :mod:`repro.store.sharding` — coloring-partitioned shards with a
-  per-shard process pool: provably-disjoint receiver sub-batches
-  commit on separate stores with zero coordination; everything else
-  escalates to a coordinator running the usual commit tiers.
+  per-shard process pool: every batch commits on a coordinator running
+  the usual commit tiers, and each shard stages its slice of the
+  committed versions; the router classifies batches by whether their
+  receiver sub-batches are provably disjoint.
 """
 
 from repro.store.recovery import (

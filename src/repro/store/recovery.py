@@ -110,14 +110,10 @@ class RecoveredState:
 
     shard_meta: Optional[Dict] = None
     """Payload of the last ``shard_meta`` record (``None`` when the log
-    carries none) — a shard backend's ``{"epoch", "applied", "dirty"}``
-    recovery marker."""
-
-    commits_after_meta: int = 0
-    """Commit records appended *after* the last ``shard_meta`` marker.
-    Non-zero means the final commits' provenance is unknown (the marker
-    that would have classified them was torn away), so a shard must
-    treat the recovered state as dirty."""
+    carries none) — a shard backend's ``{"epoch", "applied"}`` recovery
+    marker.  Commits after it are stages of later coordinator versions
+    whose marker never landed, so ``applied`` may lag the replayed
+    state but never runs ahead of it."""
 
     @property
     def clean(self) -> bool:
@@ -174,13 +170,9 @@ def recover(path: str, truncate: bool = True) -> RecoveredState:
         version, database = replay(records)
         commits = sum(1 for r in records if r.kind == KIND_COMMIT)
         shard_meta: Optional[Dict] = None
-        commits_after_meta = 0
         for record in records:
             if record.kind == KIND_SHARD_META:
                 shard_meta = dict(record.payload)
-                commits_after_meta = 0
-            elif record.kind == KIND_COMMIT:
-                commits_after_meta += 1
         span.set(
             records=len(records),
             commits=commits,
@@ -200,7 +192,6 @@ def recover(path: str, truncate: bool = True) -> RecoveredState:
         truncated_bytes=torn,
         problems=problems,
         shard_meta=shard_meta,
-        commits_after_meta=commits_after_meta,
     )
 
 

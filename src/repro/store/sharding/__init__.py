@@ -7,13 +7,14 @@ the instance; this package spends that proof as a *partitioner*:
   (:class:`Partitioning`): partition-class property relations split
   row-wise by receiving object, everything else replicated;
 * :mod:`repro.store.sharding.router` — :class:`Router` classifies a
-  batch as **disjoint** (zero-coordination per-shard commits) or
-  **cross_shard** (coordinator escalation) from its
+  batch as **disjoint** (per-shard sub-batches with provably disjoint
+  writes) or **cross_shard** from its
   :class:`~repro.coloring.regions.UpdateRegion`;
 * :mod:`repro.store.sharding.service` — :class:`ShardedStore`, the
   front-end over one coordinator plus ``N`` shard stores, each
-  optionally a persistent worker process, with one per-shard cursor
-  advance that brings any shard up to date;
+  optionally a persistent worker process: every batch commits on the
+  coordinator, and one per-shard cursor advance stages it (or brings
+  any shard up to date);
 * :mod:`repro.store.sharding.supervisor` — :class:`ShardSupervisor`,
   the self-healing ladder: worker-death detection, epoch-fenced
   restarts through the store's shared bring-up (per-shard WAL
@@ -26,7 +27,6 @@ from repro.store.sharding.partition import (
     ShardingError,
     StaleEpochError,
     WorkerDied,
-    merge_changes,
     stable_shard_hash,
 )
 from repro.store.sharding.router import (
@@ -57,6 +57,5 @@ __all__ = [
     "ShardingError",
     "StaleEpochError",
     "WorkerDied",
-    "merge_changes",
     "stable_shard_hash",
 ]

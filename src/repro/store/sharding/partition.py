@@ -35,8 +35,9 @@ them as the receiving classes of the workload's methods, and
 :meth:`Partitioning.disjoint_reason` checks a method's
 :class:`~repro.coloring.regions.UpdateRegion` against the split —
 writes confined to partitioned relations, reads confined to replicated
-ones — which is the precondition under which per-shard commits need no
-coordination at all.
+ones — which is the precondition under which a shard-local evaluation
+of a sub-batch would agree with the global one.  The store reports
+that classification; it evaluates every batch on the coordinator.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ class Partitioning:
 
     # -- the disjointness certificate ----------------------------------
     def disjoint_reason(self, region: UpdateRegion) -> Optional[str]:
-        """Why a method with ``region`` canNOT take the zero-coordination
-        path — ``None`` when it can.
+        """Why a method with ``region`` canNOT be classified disjoint —
+        ``None`` when it can.
 
         The certificate: every write lands in a partitioned relation
         (so sub-batch writes are disjoint row sets, keyed by the
@@ -253,35 +254,10 @@ class Partitioning:
         return per_shard, replicated
 
 
-def merge_changes(
-    parts: Iterable[Mapping[str, RelationDelta]]
-) -> Dict[str, RelationDelta]:
-    """The union of *disjoint* per-shard change sets.
-
-    Inverse of :meth:`Partitioning.split_changes` for the partitioned
-    half: row sets from different shards never collide (each shard only
-    emits rows keyed by its own objects), so a plain union per relation
-    is exact.
-    """
-    merged: Dict[str, RelationDelta] = {}
-    for changes in parts:
-        for name, delta in changes.items():
-            old = merged.get(name)
-            if old is None:
-                merged[name] = delta
-            else:
-                merged[name] = RelationDelta(
-                    old.inserted | delta.inserted,
-                    old.deleted | delta.deleted,
-                )
-    return merged
-
-
 __all__ = [
     "Partitioning",
     "ShardingError",
     "StaleEpochError",
     "WorkerDied",
-    "merge_changes",
     "stable_shard_hash",
 ]

@@ -1,10 +1,13 @@
-"""Routing receiver batches onto shards.
+"""Classifying receiver batches against the shard layout.
 
 The router turns a ``(method, receivers)`` batch into a
-:class:`Route`: either **disjoint** — per-shard sub-batches that may
-commit independently with zero coordination — or **cross_shard** — the
-batch must go through the coordinator's full commit-tier escalation
-(the 2PC-lite path of :class:`~repro.store.sharding.service.ShardedStore`).
+:class:`Route`: either **disjoint** — the batch splits into per-shard
+sub-batches whose writes are provably disjoint row sets — or
+**cross_shard** — no such certificate exists.  The route is the
+batch's classification, reported to the caller; every batch takes the
+same write route through
+:class:`~repro.store.sharding.service.ShardedStore` (evaluated and
+committed on the coordinator, then staged to the shards).
 
 A batch routes disjoint exactly when the partitioning can *certify*
 independence before execution:
@@ -22,11 +25,12 @@ independence before execution:
 
 Condition 3 is deliberately conservative: a method that reads its own
 written relation (scenario C's ``manager.salary`` chain) is
-order-*dependent* in general and must escalate; the coordinator then
-decides commutativity with the usual structural/replay/semantic tiers.
-A fourth, receiver-shaped condition guards the slices' *borrowing*
-model: a receiver argument living in a partition class may be owned by
-another shard, so such batches escalate too.
+order-*dependent* in general and classifies cross-shard; the
+coordinator decides commutativity with the usual
+structural/replay/semantic tiers for every batch anyway.  A fourth,
+receiver-shaped condition guards the slices' *borrowing* model: a
+receiver argument living in a partition class may be owned by another
+shard, so a shard-local evaluation could not even see it.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ class Router:
         region: Optional[UpdateRegion] = None,
         degraded: Sequence[int] = (),
     ) -> Route:
-        """Decide how ``(method, receivers)`` executes.
+        """Classify ``(method, receivers)``.
 
         ``region`` overrides the structural :func:`method_region` — a
         caller holding a tighter inferred §4 coloring may pass

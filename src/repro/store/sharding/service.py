@@ -4,39 +4,37 @@
 each with its own WAL and :class:`EngineCache` — plus a *coordinator*
 store holding the full object base.  The coordinator is the logical
 head: its version chain (and WAL) is the authoritative history, the
-differential-test witness, and the host for the full commit-tier
-escalation when a batch cannot be proven disjoint.
+differential-test witness, and the one place a batch is evaluated.
 
-Batches flow through :meth:`ShardedStore.apply_batch`:
+**One write route.**  :meth:`ShardedStore.apply_batch` and
+:meth:`ShardedStore.commit_transaction` both publish on the
+coordinator first: a batch runs as one ``M_par`` (Def. 6.2) through the
+ordinary optimistic transaction (structural-commute / replay /
+semantic tiers), whose WAL record is the durable decision.  The
+committed delta is then split by ownership and *staged* to every shard
+(partitioned rows to their owners, replicated deltas to all).  The
+router still classifies each batch (``disjoint`` or ``cross_shard``,
+reported on the route); the classification no longer picks a path.
+A shard therefore never holds a state the coordinator has not
+committed: each slice (see
+:meth:`~repro.store.sharding.partition.Partitioning.slice_database`)
+is a view of the coordinator log, kept current by replaying it.
 
-* **disjoint** route — each touched shard applies its sub-batch as a
-  local transaction over its *slice* of the database (every replicated
-  relation, only its own partitioned rows; see
-  :meth:`~repro.store.sharding.partition.Partitioning.slice_database`)
-  and returns the normalized :class:`RelationDelta` change set; the
-  front-end merges the provably disjoint deltas and commits them once
-  on the coordinator.  No inter-shard coordination: sub-batches on
-  different shards run concurrently in their workers.
-* **cross_shard** route — 2PC-lite: the coordinator runs the batch
-  through the ordinary optimistic transaction (structural-commute /
-  replay / semantic tiers), its WAL record being the durable decision;
-  the committed delta is then split by ownership and *staged* to every
-  shard (partitioned rows to their owners, replicated deltas to all).
-
-**One path brings a shard up to date.**  The coordinator log is the
-authoritative state machine and each shard holds its own position in
-it: a per-shard *cursor*, the coordinator version the shard is known
-to reflect, or unknown.  Every caller that moves shards forward — the
-cross-shard route, :meth:`~ShardedStore.commit_transaction`,
-:meth:`~ShardedStore.stage_version`, :meth:`~ShardedStore.resync_shard`,
-the disjoint route before it applies on a lagging shard, and the
-bring-up shared by :meth:`~ShardedStore.from_wal_dir` and supervisor
-restarts — goes through one advance.  A known cursor stages the
-shard's slice of each missing version in commit order (paper Thm 6.5 /
-Lemma 6.7 make that replay safe); an unknown one gets the verifying
-dump-diff against the head slice; a shard already at or past the
-target is skipped, so staging never walks a shard backwards.  A shard
-whose staging fails drops to unknown, which the next advance heals.
+**One path brings a shard up to date.**  Each shard holds its own
+position in the coordinator log: a per-shard *cursor*, the coordinator
+version the shard is known to reflect, or unknown.  Every caller that
+moves shards forward — the publish step behind both write entry
+points, :meth:`~ShardedStore.resync_shard`, and the bring-up shared by
+:meth:`~ShardedStore.from_wal_dir` and supervisor restarts — goes
+through one advance.  A known cursor stages the shard's slice of each
+missing version in commit order (paper Thm 6.5 / Lemma 6.7 make that
+replay safe); an unknown one gets the verifying dump-diff against the
+head slice; a shard already at or past the target is skipped, so
+staging never walks a shard backwards.  A shard whose staging fails
+drops to unknown, which the next advance heals.  When the publish
+step cannot stage a committed version, it resets every cursor and
+dump-diffs the fleet; the write is acknowledged either way, flagged
+when even that heal fails.
 
 Execution modes: ``inline`` backends run in-process (useful for tests
 and as the degraded fallback), ``process`` backends each own a
@@ -49,13 +47,11 @@ threads.
 Shards are replicas of the coordinator log that must be *fencible*
 and *catch-up-able*:
 
-* Every fenced pipe command (``apply`` / ``stage`` / ``mark`` /
-  ``checkpoint``) carries the shard's monotone **epoch**; a backend
-  rejects commands from an older epoch with :class:`StaleEpochError`
-  (the zombie guard) and adopts newer ones.  Epochs, the highest
-  *applied* coordinator version, and a *dirty* bit (last local commit
-  was an apply whose coordinator commit the shard never saw confirmed)
-  persist in the shard WAL as ``shard_meta`` records.
+* Every fenced pipe command (``stage`` / ``mark`` / ``checkpoint``)
+  carries the shard's monotone **epoch**; a backend rejects commands
+  from an older epoch with :class:`StaleEpochError` (the zombie guard)
+  and adopts newer ones.  Epochs and the highest *applied* coordinator
+  version persist in the shard WAL as ``shard_meta`` records.
 * A worker death surfaces as :class:`WorkerDied`; the
   :class:`~repro.store.sharding.supervisor.ShardSupervisor` restarts
   the process under the shared :class:`RetryPolicy` + a per-shard
@@ -97,7 +93,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.graph.instance import Instance
 from repro.obs import flight
@@ -117,19 +113,13 @@ from repro.store.sharding.partition import (
     ShardingError,
     StaleEpochError,
     WorkerDied,
-    merge_changes,
 )
 from repro.store.sharding.router import Route, Router
 from repro.store.sharding.supervisor import (
     _RESTART_FAILURES,
     ShardSupervisor,
 )
-from repro.store.versioned import (
-    MethodApplication,
-    StoreError,
-    Version,
-    VersionedStore,
-)
+from repro.store.versioned import StoreError, Version, VersionedStore
 from repro.store.txn import run_transaction
 from repro.store.wal import KIND_COMMIT, KIND_SHARD_META, WalError
 
@@ -147,24 +137,26 @@ class ShardBackend:
     The same interpreter serves both execution modes: in-process for
     :class:`InlineShard`, inside the worker for :class:`ProcessShard`.
     Commands are ``(op, *operands)`` tuples; every payload that crosses
-    a pipe is plain picklable data (methods, receivers, deltas, row
-    sets) — never a live store object.
+    a pipe is plain picklable data (deltas, row sets) — never a live
+    store object.
 
-    Recovery bookkeeping rides on three fields persisted as
-    ``shard_meta`` WAL records after every fenced command:
+    A shard commits only coordinator versions: a tail ``stage`` of one
+    version's slice, or a dump-diff staged as the head.  Recovery
+    bookkeeping rides on two fields persisted as ``shard_meta`` WAL
+    records after every fenced command:
 
     * ``epoch`` — the fence.  Commands stamped with an older epoch are
       rejected (:class:`StaleEpochError`); newer ones are adopted.
     * ``applied`` — the highest coordinator version this shard's state
-      is known to reflect.  Advanced only by exact staged versions or
-      by coordinator-asserted ``confirmed`` stamps, *never* by the
-      shard's own disjoint apply (whose coordinator version is unknown
-      at apply time) — over-reporting would make a tail catch-up skip
-      a delta, which is the one unrecoverable mistake.
-    * ``dirty`` — the last local commit was an apply the coordinator
-      has not confirmed.  A dirty shard may be *ahead* of the
-      coordinator by an unpublished batch, so recovery must dump-diff
-      instead of tail-replaying.
+      is known to reflect, or ``None`` when unknown.  It never runs
+      ahead of the log (a marker is appended *after* its stage), but it
+      may lag it: a crash between a stage and its marker leaves the
+      state one version past the marker.  That lag is safe, because
+      re-staging a normalized delta the shard already holds normalizes
+      to nothing, so a tail replay from a lagging marker lands on the
+      same slice.  Over-reporting would make a tail skip a delta, the
+      one unrecoverable mistake; a torn or unclean log, or one without
+      a marker, therefore recovers as unknown.
     """
 
     def __init__(
@@ -179,8 +171,7 @@ class ShardBackend:
     ) -> None:
         self.shard = shard
         self.epoch = int(epoch)
-        self.applied = int(applied)
-        self.dirty = False
+        self.applied: Optional[int] = int(applied)
         self.recovered = False
         if recover:
             self._recover(wal, durability)
@@ -200,9 +191,9 @@ class ShardBackend:
 
         Leaves :attr:`recovered` ``False`` (the caller falls back to a
         fresh slice) when the log is missing, unreadable, or holds no
-        checkpointed state.  A torn tail, a missing meta marker, or
-        commits after the last marker all force ``dirty`` — the
-        conservative verdict that costs a dump-diff, never divergence.
+        checkpointed state.  A torn or unclean tail, or a missing meta
+        marker, leaves ``applied`` unknown — the conservative verdict
+        that costs a dump-diff, never divergence.
         """
         if wal is None or not os.path.exists(wal):
             return
@@ -219,16 +210,11 @@ class ShardBackend:
         except (OSError, StoreError, WalError):
             return
         self.recovered = True
-        meta = state.shard_meta
-        if meta is None:
-            self.dirty = True
-            return
-        self.applied = max(self.applied, int(meta.get("applied", 0)))
+        meta = state.shard_meta or {}
         self.epoch = max(self.epoch, int(meta.get("epoch", 0)))
-        self.dirty = (
-            bool(meta.get("dirty", True))
-            or state.commits_after_meta > 0
-            or not state.clean
+        applied = meta.get("applied")
+        self.applied = (
+            int(applied) if applied is not None and state.clean else None
         )
 
     # -- the fence and the marker --------------------------------------
@@ -253,9 +239,13 @@ class ShardBackend:
             self.epoch = int(epoch)
             self._persist_meta()
 
-    def _confirm(self, confirmed: Optional[int]) -> None:
-        if confirmed is not None:
-            self.applied = max(self.applied, int(confirmed))
+    def _reflects(self, version: int) -> None:
+        """Record that the shard's state reflects coordinator ``version``."""
+        version = int(version)
+        self.applied = (
+            version if self.applied is None else max(self.applied, version)
+        )
+        self._persist_meta()
 
     def _persist_meta(self) -> None:
         wal = self.store.wal
@@ -264,11 +254,7 @@ class ShardBackend:
         wal.append(
             KIND_SHARD_META,
             self.store.head.version,
-            {
-                "epoch": self.epoch,
-                "applied": self.applied,
-                "dirty": self.dirty,
-            },
+            {"epoch": self.epoch, "applied": self.applied},
         )
 
     def status(self) -> Dict[str, Any]:
@@ -277,45 +263,21 @@ class ShardBackend:
             "version": self.store.head.version,
             "epoch": self.epoch,
             "applied": self.applied,
-            "dirty": self.dirty,
             "recovered": self.recovered,
         }
 
     def handle(self, command: Tuple[Any, ...]) -> Any:
         op = command[0]
-        if op == "apply":
-            _, epoch, confirmed, method, receivers = command
-            self._fence(epoch, op)
-            # The coordinator asserts every version <= confirmed is
-            # already reflected here (untouched shards' slices of
-            # those deltas were empty); the apply below is *not*
-            # attributable to a coordinator version yet, hence dirty.
-            self._confirm(confirmed)
-            _, version = run_transaction(
-                self.store,
-                lambda txn: txn.apply_method(method, receivers),
-            )
-            self.dirty = True
-            self._persist_meta()
-            return dict(version.changes)
         if op == "stage":
             _, epoch, version_number, changes = command
             self._fence(epoch, op)
             result = self.store.commit_changes(changes).version
-            if version_number is not None:
-                # Only a coordinator-attributed stage may clear the
-                # dirty bit: an anonymous delta has unknown provenance,
-                # so the marker must keep distrusting tail replay.
-                self.applied = max(self.applied, int(version_number))
-                self.dirty = False
-            self._persist_meta()
+            self._reflects(version_number)
             return result
         if op == "mark":
-            _, epoch, confirmed = command
+            _, epoch, version_number = command
             self._fence(epoch, op)
-            self._confirm(confirmed)
-            self.dirty = False
-            self._persist_meta()
+            self._reflects(version_number)
             return self.applied
         if op == "status":
             return self.status()
@@ -487,8 +449,8 @@ class ProcessShard:
     """A shard owned by a persistent worker process.
 
     ``send`` is asynchronous — the front-end sends to *all* shards
-    before collecting any reply, so sub-batches execute concurrently
-    in their workers with zero threads in the parent.
+    before collecting any reply, so stages execute concurrently in
+    their workers with zero threads in the parent.
 
     ``send`` wraps every command in the telemetry envelope (trace
     context from the coordinator's active tracer, or ``None``);
@@ -758,9 +720,9 @@ class ShardedStore:
 
         Shared by :meth:`from_wal_dir` and the supervisor's restart.
         The backend recovers the shard's own WAL; its marker seeds the
-        cursor (a dirty marker, or an ``applied`` claim past the head,
-        leaves it unknown) and :meth:`_advance` stages only what is
-        missing.  A missing or unrecoverable log falls back to a fresh
+        cursor (an unknown marker, or an ``applied`` claim past the
+        head, leaves it unknown) and :meth:`_advance` stages only what
+        is missing.  A missing or unrecoverable log falls back to a fresh
         slice of the head.  The new handle is used directly — never
         through the supervisor — so a heal in progress cannot recurse
         into another heal.  Returns ``(handle, mode, rows)``; on
@@ -800,11 +762,9 @@ class ShardedStore:
             registry.counter("store.shard.resyncs.full").inc()
             return handle, "full", None
         self.supervisor.adopt(shard, int(status.get("epoch", 0)))
-        applied = int(status.get("applied", 0))
+        applied = status.get("applied")
         self._cursors[shard] = (
-            applied
-            if not status.get("dirty") and applied <= head
-            else None
+            applied if applied is not None and applied <= head else None
         )
         try:
             mode, rows = self._advance([shard], head, handle=handle)
@@ -835,7 +795,7 @@ class ShardedStore:
         brought up from its own checkpoint+tail and then advanced by
         staging only the coordinator deltas past its ``applied``
         marker — the order-independence theorems make that tail replay
-        safe.  A dirty marker gets the verifying dump-diff, and a
+        safe.  An unknown marker gets the verifying dump-diff, and a
         missing or unrecoverable log the full re-slice.  Per-shard
         outcomes land in :attr:`recovery_report` as
         ``{shard: {"mode": "tail" | "full", "rows": ...}}``.
@@ -867,13 +827,18 @@ class ShardedStore:
     def shards(self) -> int:
         return self.partitioning.shards
 
-    def apply_batch(self, method, receivers: Sequence[Any]) -> Tuple[Version, Route]:
-        """Apply ``M_par(I, T)`` through the shard fleet.
+    def apply_batch(
+        self, method, receivers: Sequence[Any]
+    ) -> Tuple[Version, Route, bool]:
+        """Apply ``M_par(I, T)`` on the coordinator and stage it.
 
-        Routes the batch, executes it on the disjoint or cross-shard
-        path, and returns the committed coordinator version together
-        with the route (so callers — and tests — can see which path
-        ran, why, and whether any touched shard was degraded).
+        The router classifies the batch (the route says which class it
+        fell in, why, and whether any touched shard was degraded); every
+        batch then takes the one write route: :func:`run_transaction`
+        on the coordinator, then the cursor advance of every shard.
+        Returns ``(version, route, staged)``, with ``staged`` as in
+        :meth:`commit_transaction`: a batch that committed is always
+        acknowledged, and only a batch that did not commit raises.
         """
         receivers = tuple(receivers)
         route = self.router.route(
@@ -881,7 +846,11 @@ class ShardedStore:
             receivers,
             degraded=self.supervisor.degraded_shards(),
         )
-        registry = global_registry()
+        global_registry().counter(
+            "store.shard.disjoint_batches"
+            if route.is_disjoint
+            else "store.shard.cross_shard_batches"
+        ).inc()
         with self._lock, trace.span(
             "store.shard.batch",
             category="store",
@@ -889,126 +858,21 @@ class ShardedStore:
             receivers=len(receivers),
             shards=len(route.sub_batches),
         ):
-            if route.is_disjoint:
-                registry.counter("store.shard.disjoint_batches").inc()
-                version = self._apply_disjoint(method, receivers, route)
-            else:
-                registry.counter("store.shard.cross_shard_batches").inc()
-                version = self._apply_cross_shard(method, receivers, route)
-        return version, route
-
-    def _apply_disjoint(self, method, receivers, route: Route) -> Version:
-        """Independent single-shard commits, then one coordinator commit.
-
-        Shards evaluate and commit first — their deltas *are* the
-        result — and the coordinator commit publishes the merged batch
-        as the logical history entry.  Each shard's local evaluation
-        agrees with the global one restricted to its sub-batch because
-        the route certified that every relation the method reads is
-        replicated (bit-identical on all shards) — provided the shard
-        reflects the head, so a touched shard whose cursor lags (or is
-        unknown) is advanced first.
-
-        A shard dying mid-batch is healed by the supervisor (restart →
-        WAL recovery → catch-up → redo of this sub-batch under the new
-        epoch); the redo cannot double-apply because a recovered shard
-        whose last commit was an unconfirmed apply is dirty and gets
-        dump-diffed back to the coordinator head first.
-        """
-        touched = sorted(route.sub_batches)
-        head = self.coordinator.head.version
-        behind = [s for s in touched if self._cursors[s] != head]
-        if behind:
-            self._advance(behind, head)
-        commands = {
-            shard: (
-                lambda s=shard: (
-                    "apply",
-                    self.supervisor.epoch(s),
-                    head,
-                    method,
-                    route.sub_batches[s],
-                )
+            version, staged = self._publish(
+                lambda: run_transaction(
+                    self.coordinator,
+                    lambda txn: txn.apply_method(method, receivers),
+                )[1]
             )
-            for shard in touched
-        }
-        for shard in touched:
-            # Until the coordinator publishes, a shard that applied is
-            # ahead of it by an unpublished sub-batch.
-            self._cursors[shard] = None
-        try:
-            parts_map = self.supervisor.broadcast(
-                commands,
-                span_name="store.shard.commit",
-                span_attrs=lambda s: {
-                    "receivers": len(route.sub_batches[s])
-                },
-            )
-            global_registry().counter("store.shard.sub_batches").inc(
-                len(touched)
-            )
-            merged = merge_changes(parts_map[s] for s in touched)
-            version = self.coordinator.commit_changes(
-                merged,
-                operations=[MethodApplication(method, tuple(receivers))],
-            )
-        except Exception:
-            # The batch never published: unknown cursors make the
-            # advance dump-diff the touched shards back to the head
-            # (a heal mid-broadcast may have set one before its redo).
-            for shard in touched:
-                self._cursors[shard] = None
-            try:
-                self._advance(touched, self.coordinator.head.version)
-            except Exception as exc:
-                flight.record(
-                    "store.resync_failure",
-                    shards=touched,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            raise
-        for shard, cursor in enumerate(self._cursors):
-            # An untouched shard's slice of a disjoint commit is empty
-            # by construction.
-            if shard in route.sub_batches or cursor == head:
-                self._cursors[shard] = version.version
-        return version
-
-    def _apply_cross_shard(self, method, receivers, route: Route) -> Version:
-        """2PC-lite: decide on the coordinator, redo onto the shards.
-
-        The coordinator transaction runs the full commit-tier
-        escalation; its WAL append is the durable decision record.
-        Propagation to shards is the cursor advance: in commit order,
-        and a shard it fails to reach is left unknown for the next
-        advance to heal.
-        """
-        _, version = run_transaction(
-            self.coordinator,
-            lambda txn: txn.apply_method(method, receivers),
-        )
-        self._advance(range(self.shards), version.version)
-        return version
-
-    def stage_version(self, version: Version) -> None:
-        """Propagate a version committed *directly on the coordinator*.
-
-        The escape hatch for writers that bypass :meth:`apply_batch`:
-        advances every shard to ``version`` under the lock.  Shards
-        already at or past it are skipped and earlier unstaged versions
-        are staged first, so interleaved commit-then-stage writers can
-        never walk a shard backwards.
-        """
-        with self._lock:
-            self._advance(range(self.shards), version.version)
+        return version, route, staged
 
     def commit_transaction(self, txn) -> Tuple[Version, bool]:
         """Commit a coordinator transaction and stage it onto the fleet.
 
         The store lock is held across the coordinator commit *and* the
-        shard staging — exactly as :meth:`apply_batch` holds it across
-        the cross-shard route — so no concurrent batch can publish and
-        stage a later version in between.
+        shard staging — exactly as :meth:`apply_batch` holds it — so no
+        concurrent batch can publish and stage a later version in
+        between.
 
         Returns ``(version, staged)``.  ``staged`` is ``False`` only
         when the commit durably published on the coordinator but shard
@@ -1017,34 +881,41 @@ class ShardedStore:
         committed) outcome, never as a failed commit.
         """
         with self._lock:
-            version = txn.commit()
-            staged = True
+            return self._publish(txn.commit)
+
+    def _publish(self, commit: Callable[[], Version]) -> Tuple[Version, bool]:
+        """Run ``commit`` on the coordinator, then advance every shard.
+
+        The caller holds the lock.  A failed ``commit`` raises before
+        any shard is touched.  Once it returns, the version is published
+        (durable, with a coordinator log) and is always returned: a
+        staging failure resets every cursor and dump-diffs every shard
+        against the head (each one is attempted even if an earlier one
+        fails), and only when that heal fails too does ``staged`` come
+        back ``False``.
+        """
+        version = commit()
+        try:
+            self._advance(range(self.shards), version.version)
+        except Exception as exc:
+            global_registry().counter("store.shard.stage_failures").inc()
+            flight.record(
+                "store.stage_failure",
+                version=version.version,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+            self._cursors[:] = [None] * self.shards
             try:
-                self._advance(range(self.shards), version.version)
+                self._advance(
+                    range(self.shards), self.coordinator.head.version
+                )
             except Exception as exc:
-                global_registry().counter(
-                    "store.shard.stage_failures"
-                ).inc()
                 flight.record(
-                    "store.stage_failure",
-                    version=version.version,
+                    "store.resync_failure",
                     error=f"{type(exc).__name__}: {exc}",
                 )
-                # The commit is durable; verify every shard against the
-                # head rather than leave any stale.  Every shard gets
-                # the dump-diff even if an earlier one fails.
-                self._cursors[:] = [None] * self.shards
-                try:
-                    self._advance(
-                        range(self.shards), self.coordinator.head.version
-                    )
-                except Exception as exc:
-                    flight.record(
-                        "store.resync_failure",
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                    staged = False
-        return version, staged
+                return version, False
+        return version, True
 
     # -- bringing shards up to date ------------------------------------
     def _advance(
@@ -1208,7 +1079,7 @@ class ShardedStore:
         ``mode="tail"`` demands the incremental catch-up (raises when
         unavailable); ``"full"`` forces the verifying dump-diff;
         ``"auto"`` picks the tail only when the shard's recovery marker
-        is clean and strictly behind the head.  Returns the mode used.
+        is known and strictly behind the head.  Returns the mode used.
         """
         if mode not in ("auto", "tail", "full"):
             raise ShardingError(f"unknown resync mode {mode!r}")
@@ -1223,17 +1094,15 @@ class ShardedStore:
                     )
                 except ShardingError:
                     status = None
-                clean = status is not None and not status.get("dirty")
-                applied = int(status.get("applied", 0)) if clean else 0
+                applied = None if status is None else status.get("applied")
                 # "auto" takes the tail only when lag *explains* the
-                # need to resync (marker clean and behind the head); a
+                # need to resync (marker known and behind the head); a
                 # shard that claims to be current yet needs healing is
                 # corrupt in a way the marker cannot see, so it gets
                 # the verifying dump-diff.  A *demanded* tail still
-                # requires a clean marker: an unconfirmed local commit
-                # means the tail cannot reconstruct the slice.
+                # requires a known marker.
                 if (
-                    clean
+                    applied is not None
                     and applied <= head
                     and (mode == "tail" or applied < head)
                 ):
@@ -1244,7 +1113,7 @@ class ShardedStore:
                 ):
                     raise ShardingError(
                         f"shard {shard} tail resync unavailable "
-                        "(dirty marker, divergence, or pruned history)"
+                        "(unknown marker, divergence, or pruned history)"
                     )
             self._cursors[shard] = cursor
             used, rows = self._advance([shard], head)

@@ -18,10 +18,13 @@ each rung engaged only when the one above fails:
    shared with ``from_wal_dir``) seeds the shard's cursor from its
    recovered ``applied`` marker, and the cursor advance stages only
    the *tail* of coordinator deltas past it; order-independence (paper
-   Thm 5.12/6.5) is what makes replaying that tail safe;
-5. **full resync** — a dirty marker leaves the cursor unknown, so the
-   same advance runs the verifying dump-diff against the coordinator
-   head; an unrecoverable log is re-sliced from the head;
+   Thm 5.12/6.5) is what makes replaying that tail safe, and a marker
+   that lags the shard's log is safe too, because re-staging a delta
+   the shard already holds normalizes to nothing;
+5. **full resync** — a torn or unclean log, or one without a marker,
+   leaves the cursor unknown, so the same advance runs the verifying
+   dump-diff against the coordinator head; an unrecoverable log is
+   re-sliced from the head;
 6. **degrade** — past the restart budget the shard is served by a
    coordinator-side :class:`InlineShard` sliced from the head, so
    callers keep committing; the breaker's half-open probe (or
@@ -32,11 +35,10 @@ The supervisor holds no lock of its own: every entry point is reached
 with the store's lock already held (or during construction, before the
 store is shared), so shard handles, epochs, and states never race.
 The in-flight command that detected the death is re-executed on the
-healed handle under the new epoch — exactly-once effects come from the
-recovery marker (an unconfirmed apply leaves the shard *dirty*, and a
-dirty shard is dump-diffed back to the head before the redo) and from
-the cursor (a staging redo re-marks a shard the heal already moved
-past that version instead of re-staging it).
+healed handle under the new epoch.  Shards only ever stage committed
+coordinator versions, so a redo cannot apply anything twice: the
+cursor makes a staging redo re-mark a shard the heal already moved
+past that version instead of re-staging it.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from __future__ import annotations
 import contextlib
 import random
 import time
+import weakref
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import flight
@@ -74,9 +77,10 @@ DEGRADED = "degraded"
 class ShardSupervisor:
     """Per-shard life-cycle manager for a :class:`ShardedStore`.
 
-    With ``enabled=False`` every death propagates to the caller
+    With ``enabled=False`` every death propagates to the store
     unchanged (the pre-supervision contract, which the worker-death
-    forensics tests still exercise).
+    forensics tests still exercise).  A write that died while staging
+    is still acknowledged, with ``staged=False``.
     """
 
     def __init__(
@@ -88,7 +92,11 @@ class ShardSupervisor:
         sleep: Callable[[float], None] = time.sleep,
         rng: Optional[random.Random] = None,
     ) -> None:
-        self.store = store
+        # Weak, because the store owns this supervisor: a strong back
+        # reference would leave every dropped fleet, its whole version
+        # history included, for the cyclic garbage collector to find
+        # in the middle of some later request.
+        self.store = weakref.proxy(store)
         self.enabled = enabled
         self.policy = (
             policy

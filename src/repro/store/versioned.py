@@ -459,8 +459,8 @@ class VersionedStore:
             # Column indexes live on the head: the new state carried
             # them through Relation.updated, and the relations it
             # supersedes drop theirs (a reader of an older version
-            # rebuilds lazily), so the chain holds one set of indexes
-            # however many versions it keeps.
+            # builds one per use and keeps none), so the chain holds one
+            # set of indexes however many versions it keeps.
             for name in effective:
                 head.database.relation(name).drop_indexes()
             registry = global_registry()

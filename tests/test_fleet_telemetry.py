@@ -37,7 +37,7 @@ from repro.obs.export import (
 from repro.obs.metrics import global_registry
 from repro.resilience.faults import KNOWN_SITES, SHARD_WORKER, FaultPlan
 from repro.sqlsim.scenarios import scenario_b_method
-from repro.store import ShardedStore, ShardingError, VersionedStore
+from repro.store import ShardedStore, VersionedStore
 from repro.store.sharding import CROSS_SHARD, DISJOINT
 from repro.store.txn import Transaction, run_transaction
 from repro.workloads.sharded import (
@@ -80,7 +80,7 @@ def test_batch_on_two_process_store_stitches_one_trace_tree(tmp_path):
             for method, batch in mixed_batches(
                 instance, receivers, rng, rounds=4, batch_size=6
             ):
-                _, route = store.apply_batch(method, batch)
+                _, route, _ = store.apply_batch(method, batch)
                 kinds.add(route.kind)
         store.verify_consistent()
     finally:
@@ -95,12 +95,13 @@ def test_batch_on_two_process_store_stitches_one_trace_tree(tmp_path):
     worker_pids = {s.pid for s in remote}
     assert len(worker_pids) == 2
     assert os.getpid() not in worker_pids
-    # Worker-side request spans carry the wire context and real work.
+    # Worker-side request spans carry the wire context and real work:
+    # shards only stage committed versions (or mark an empty slice).
     handles = [s for s in remote if s.name == "shard.handle"]
     assert handles and all(
-        s.args["op"] in ("apply", "stage") for s in handles
+        s.args["op"] in ("stage", "mark") for s in handles
     )
-    assert any(s.name == "store.txn.commit" for s in remote)
+    assert any(s.args["op"] == "stage" for s in handles)
     # The propagated trace id reached the workers' root spans.
     assert all(
         s.parent is not None and s.parent.pid is None
@@ -152,22 +153,31 @@ def test_worker_spans_share_the_coordinator_timeline(tmp_path):
 # ----------------------------------------------------------------------
 @fork_only
 def test_shard_metrics_merge_under_prefixes_with_percentiles(tmp_path):
-    store, instance, receivers = make_store(tmp_path)
+    instance, receivers = sharded_company(n_employees=24, seed=3)
+    # fsync logs, so every worker's stages feed a latency histogram.
+    store = ShardedStore(
+        instance,
+        ["Employee"],
+        shards=2,
+        mode="process",
+        wal_dir=str(tmp_path / "fleet"),
+        durability="fsync",
+    )
     registry = global_registry()
-    before = registry.counters().get("shard0.store.txn.commits", 0)
+    before = registry.counters().get("shard0.store.commits", 0)
     try:
         for batch in raise_batches(receivers, batch_size=6):
-            version, route = store.apply_batch(scenario_b_method(), batch)
-            assert route.kind == DISJOINT
+            _, route, staged = store.apply_batch(scenario_b_method(), batch)
+            assert route.kind == DISJOINT and staged
         store.verify_consistent()
     finally:
         store.close()
     counters = registry.counters()
-    assert counters["shard0.store.txn.commits"] > before
-    assert "shard1.store.txn.commits" in counters
+    assert counters["shard0.store.commits"] > before
+    assert "shard1.store.commits" in counters
     histograms = registry.histograms()
     for shard in (0, 1):
-        summary = histograms[f"shard{shard}.store.txn.commit_ms.fastpath"]
+        summary = histograms[f"shard{shard}.store.wal.fsync_ms"]
         assert summary["count"] > 0
         percentiles = summary["percentiles"]
         assert percentiles["p50"] is not None
@@ -175,8 +185,8 @@ def test_shard_metrics_merge_under_prefixes_with_percentiles(tmp_path):
     # The merged registry lands in the metrics-JSON document CI ships.
     document = metrics_dump({"fleet.run": 1.0}, registry=registry)
     exported = document["metrics"]["histograms"]
-    assert "shard0.store.txn.commit_ms.fastpath" in exported
-    assert "shard1.store.txn.commit_ms.fastpath" in exported
+    assert "shard0.store.wal.fsync_ms" in exported
+    assert "shard1.store.wal.fsync_ms" in exported
 
 
 @fork_only
@@ -223,11 +233,15 @@ def test_worker_kill_flushes_flight_dump_and_marks_span_aborted(tmp_path):
         )
         try:
             with trace.tracing() as tracer:
-                with pytest.raises(ShardingError, match="worker died"):
-                    for batch in raise_batches(receivers, batch_size=6):
-                        store.apply_batch(scenario_b_method(), batch)
+                # The death surfaces while staging a committed batch:
+                # the write is acknowledged, flagged unstaged.
+                staged = [
+                    store.apply_batch(scenario_b_method(), batch)[2]
+                    for batch in raise_batches(receivers, batch_size=6)
+                ]
         finally:
             store.close()
+    assert False in staged
     # The kill fires inside the forked worker, so the coordinator-side
     # plan object records nothing — the worker's flushed flight dump is
     # the authoritative evidence below.
@@ -248,7 +262,7 @@ def test_worker_kill_flushes_flight_dump_and_marks_span_aborted(tmp_path):
     deaths = coordinator_flight.events("shard.worker_death")
     assert deaths and deaths[0].data["shard"] in (0, 1)
     aborted = [s for s in tracer.spans if s.args.get("aborted")]
-    assert any(s.name == "store.shard.commit" for s in aborted)
+    assert any(s.name == "store.shard.stage" for s in aborted)
 
 
 # ----------------------------------------------------------------------

@@ -151,22 +151,23 @@ class TestHeadOnlyRetention:
         fresh_indexes_match(store.head.database)
 
         # A transaction pinned before every commit reads superseded
-        # relations: their indexes rebuild on use, and its (B') raise of
-        # employees no commit touched lands as if run on the head.
+        # relations: their indexes are built per use and not kept, and
+        # its (B') raise of employees no commit touched lands as if run
+        # on the head.
         touched = {r.receiving_object for batch in batches for r in batch}
         untouched = [r for r in raises if r.receiving_object not in touched][:4]
         before = store.head
         stale.apply_method(scenario_b_method(), untouched)
-        assert stale.snapshot.database.relation("Employee.salary").indexed_columns
+        stale_salary = stale.snapshot.database.relation("Employee.salary")
+        assert stale_salary.indexed_columns == ()
         committed = stale.commit()
         assert committed.version == self.COMMITS + 1
         expected = instance_to_database(
             apply_parallel(scenario_b_method(), before.instance, untouched)
         )
         assert store.head.database == expected
-        assert superseded_holders(store) == [
-            (0, "Employee.salary")
-        ]  # the stale transaction's rebuild, on the version it pinned
+        assert stale_salary.indexed_columns == ()
+        assert superseded_holders(store) == []
         fresh_indexes_match(store.head.database)
 
     def test_two_shard_fleet_keeps_indexes_on_each_head_only(self):

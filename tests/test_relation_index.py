@@ -96,6 +96,24 @@ def test_index_maps_values_to_row_sets():
     assert relation.indexed_columns == ()
 
 
+def test_a_dropped_relation_builds_indexes_without_keeping_them():
+    relation = Relation(SCHEMA, {(1, 2, 0), (1, 3, 0), (2, 2, 1)})
+    relation.index(0)
+    relation.drop_indexes()
+    assert relation.index(0) == fresh_index(relation, 0)
+    assert relation.index(0) is not relation.index(0)
+    assert relation.indexed_columns == ()
+    # Neither a rename nor an update carries an index from it.
+    renamed = relation.rename("v", "value")
+    renamed.index(1)
+    assert renamed.indexed_columns == ()
+    result = relation.updated(insert={(3, 3, 3)})
+    assert result.indexed_columns == ()
+    # The updated relation is a new state: it keeps what it builds.
+    assert result.index(0) is result.index(0)
+    assert result.indexed_columns == (0,)
+
+
 def test_index_of_a_missing_column_raises():
     relation = Relation(SCHEMA, {(1, 2, 0)})
     for position in (-1, 3):

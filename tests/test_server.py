@@ -632,6 +632,46 @@ def test_commit_is_degraded_when_staging_and_resync_fail():
         store.close()
 
 
+def test_apply_batch_acknowledges_a_write_whose_staging_fails():
+    """An autocommit batch answers like ``commit``: a staging failure
+    after the durable coordinator commit is healed and the reply is a
+    plain success; when the heal fails too, the reply is still a
+    success, flagged degraded, with its version, route and receivers."""
+    instance, receivers = sharded_company(n_employees=8, seed=5)
+    store, _ = sharded_store(n_employees=8, seed=5, shards=REPRO_SHARDS)
+    first, second = receivers[:4], receivers[4:]
+    healed = FaultPlan(seed=0).error_at(SHARD_STAGE_FENCE, at=0)
+    unreachable = FaultPlan(seed=0).error_at(
+        SHARD_STAGE_FENCE, probability=1.0, times=None
+    )
+
+    async def scenario(server, client):
+        with healed.installed():
+            result = await client.apply_batch("raise_salary", first)
+        assert healed.firings
+        assert result["version"] == 1 and "staging" not in result
+        with unreachable.installed():
+            result = await client.apply_batch("raise_salary", second)
+        assert result["version"] == 2
+        assert result["staging"] == "degraded"
+        assert result["route"] == "disjoint"
+        assert result["receivers"] == len(second)
+
+    try:
+        run_server_test(store, scenario)
+        for k in range(store.shards):
+            store.resync_shard(k)
+        store.verify_consistent()
+        expected = apply_sequence(
+            scenario_b_method(), instance, receivers
+        )
+        assert store.coordinator.head.database.fingerprints() == (
+            fingerprints(expected)
+        )
+    finally:
+        store.close()
+
+
 def test_dropped_connection_aborts_its_open_transaction():
     store, receivers = company_store(n_employees=4, seed=4)
 

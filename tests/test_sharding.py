@@ -40,6 +40,7 @@ from repro.sqlsim.scenarios import (
     scenario_c_method,
 )
 from repro.store import ShardedStore, ShardingError, VersionedStore
+from repro.store.recovery import recover
 from repro.store.sharding import (
     CROSS_SHARD,
     DISJOINT,
@@ -48,9 +49,9 @@ from repro.store.sharding import (
     Router,
     StaleEpochError,
     WorkerDied,
-    merge_changes,
     stable_shard_hash,
 )
+from repro.store.wal import KIND_COMMIT, KIND_SHARD_META, parse_record
 from repro.workloads.sharded import (
     mixed_batches,
     raise_batches,
@@ -172,13 +173,21 @@ class TestPartitioning:
             ),
         }
         per_shard, replicated = partitioning.split_changes(changes)
-        assert set(replicated) == {"NewSal.new"}
+        assert replicated == {"NewSal.new": changes["NewSal.new"]}
         for shard, part in per_shard.items():
             for delta in part.values():
                 for row in delta.inserted | delta.deleted:
                     assert partitioning.shard_of_object(row[0]) == shard
-        merged = merge_changes(list(per_shard.values()) + [replicated])
-        assert merged == changes
+        # The parts partition the partitioned change set: pairwise
+        # disjoint, and their union is the whole.
+        whole = changes["Employee.salary"]
+        for side in ("inserted", "deleted"):
+            parts = [
+                getattr(part["Employee.salary"], side)
+                for part in per_shard.values()
+            ]
+            assert sum(map(len, parts)) == len(getattr(whole, side))
+            assert frozenset().union(*parts) == getattr(whole, side)
 
 
 # ----------------------------------------------------------------------
@@ -236,8 +245,8 @@ def test_disjoint_batches_match_the_sequential_fold(shards, tmp_path):
     )
     try:
         for batch in raise_batches(receivers, batch_size=8):
-            version, route = store.apply_batch(method, batch)
-            assert route.kind == DISJOINT
+            version, route, staged = store.apply_batch(method, batch)
+            assert route.kind == DISJOINT and staged
         expected = apply_sequence(method, instance, receivers)
         assert store.coordinator.head.database.fingerprints() == (
             fingerprints(expected)
@@ -264,7 +273,7 @@ def test_mixed_batches_match_the_unsharded_fold(seed):
     try:
         kinds = []
         for method, batch in batches:
-            _, route = store.apply_batch(method, batch)
+            _, route, _ = store.apply_batch(method, batch)
             kinds.append(route.kind)
         reference = unsharded_fold(batches, instance)
         assert store.coordinator.head.database.fingerprints() == (
@@ -287,7 +296,7 @@ def test_mixed_stream_covers_both_routes():
         for method, batch in mixed_batches(
             instance, receivers, rng, rounds=10, batch_size=6
         ):
-            _, route = store.apply_batch(method, batch)
+            _, route, _ = store.apply_batch(method, batch)
             kinds.add(route.kind)
     finally:
         store.close()
@@ -362,7 +371,7 @@ def test_resync_heals_a_diverged_shard():
             (
                 "stage",
                 store.supervisor.epoch(0),
-                None,
+                store.coordinator.head.version,
                 {
                     "Employee.salary": RelationDelta(
                         deleted=frozenset({victim})
@@ -372,8 +381,9 @@ def test_resync_heals_a_diverged_shard():
         )
         with pytest.raises(ShardingError):
             store.verify_consistent()
-        # The anonymous corruption left the marker untrustworthy, so
-        # the auto heal takes the verifying dump-diff.
+        # The shard claims to be current yet needs healing, which lag
+        # cannot explain, so the auto heal takes the verifying
+        # dump-diff.
         assert store.resync_shard(0) == "full"
         store.verify_consistent()
         # Resync is idempotent: healing a healthy shard is a no-op.
@@ -386,8 +396,8 @@ def test_resync_heals_a_diverged_shard():
 def test_receiver_outside_the_object_base_fails_the_batch():
     """``C.a[C] <= C[C]`` on the shard path: a (B') batch naming an
     employee that is not in the object base fails as a whole — no
-    dangling salary row reaches the coordinator, and the shard that
-    applied the batch's valid receiver is rolled back to the head."""
+    dangling salary row reaches the coordinator, and no shard sees any
+    of the batch."""
     instance, receivers = sharded_company(n_employees=32, seed=3)
     store = ShardedStore(instance, ["Employee"], shards=2, mode="inline")
     partitioning = store.partitioning
@@ -431,9 +441,9 @@ def test_write_paths_build_no_instance(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(Instance, "__init__", no_instance)
             patch.setattr(Instance, "_derive", no_instance)
-            _, route = store.apply_batch(method_b, receivers[:8])
+            _, route, _ = store.apply_batch(method_b, receivers[:8])
             assert route.kind == DISJOINT
-            _, route = store.apply_batch(method_c, cross)
+            _, route, _ = store.apply_batch(method_c, cross)
             assert route.kind == CROSS_SHARD
             # An explicit transaction overtaken on its write set only
             # commits through the replay tier.
@@ -521,15 +531,15 @@ def stage_to_shard_1_fails(wal_dir=None):
 
 
 def test_disjoint_batch_after_a_failed_stage_is_not_lost():
-    """A shard whose staging failed must not take a disjoint apply on
-    its stale slice: the write would be acknowledged, yet the merged
-    delta would miss the coordinator's state."""
+    """A shard whose staging failed is healed by the next batch's
+    advance: a disjoint-classified batch on its stale slice lands on
+    the coordinator's state, and the fleet reassembles to it."""
     method = scenario_b_method()
     second = [Receiver([Obj("Employee", 2), Obj("Money", 2500)])]
     instance, store = stage_to_shard_1_fails()
     try:
-        _, route = store.apply_batch(method, second)
-        assert route.kind == DISJOINT
+        _, route, staged = store.apply_batch(method, second)
+        assert route.kind == DISJOINT and staged
         reference = unsharded_fold(
             [(method, RAISE_ON_SHARD_1), (method, second)], instance
         )
@@ -565,30 +575,84 @@ def test_close_does_not_stamp_an_unstaged_version(tmp_path):
         recovered.close()
 
 
-def test_failed_coordinator_commit_in_disjoint_route_heals_shards(tmp_path):
-    """Both shards commit their sub-batch, then the coordinator's
-    commit append fails: the batch is reported failed, so the shards
-    must be pulled back to the unchanged head."""
+def test_a_batch_that_fails_to_publish_touches_no_shard(
+    tmp_path, monkeypatch
+):
+    """The coordinator's commit record fails to append: the batch is
+    reported failed, the head has not moved, and no shard was sent a
+    command — there is nothing to pull back."""
     instance, receivers = sharded_company(n_employees=16, seed=4)
     store = ShardedStore(
         instance, ["Employee"], shards=2, wal_dir=str(tmp_path / "fleet")
     )
     batch = receivers[:6]
+    sent = []
+    for shard in store._shards:
+
+        def recording(command, send=shard.send):
+            sent.append(command)
+            send(command)
+
+        monkeypatch.setattr(shard, "send", recording)
     try:
         route = store.router.route(scenario_b_method(), batch)
-        assert sorted(route.sub_batches) == [0, 1]
-        # Appends 0-3 are the two shard commits and their markers; 4
-        # is the coordinator's commit record.
-        plan = FaultPlan(seed=0).error_at(WAL_APPEND, at=4)
+        assert route.is_disjoint and sorted(route.sub_batches) == [0, 1]
+        full_before = counter_value("store.shard.resyncs.full")
+        # The coordinator's commit record is the first append.
+        plan = FaultPlan(seed=0).error_at(WAL_APPEND, at=0)
         with plan.installed():
             with pytest.raises(FaultError):
                 store.apply_batch(scenario_b_method(), batch)
         assert plan.firings
+        assert sent == []
+        assert counter_value("store.shard.resyncs.full") == full_before
         assert store.coordinator.head.version == 0
         assert store.coordinator.head.database.fingerprints() == (
             fingerprints(instance)
         )
         store.verify_consistent()
+    finally:
+        store.close()
+
+
+def test_apply_batch_acknowledges_a_commit_whose_staging_failed():
+    """Staging a committed batch fails: the store heals every shard
+    from the head and acknowledges the version instead of raising, and
+    only when the heal fails too is the batch flagged unstaged."""
+    instance, _ = sharded_company(n_employees=16, seed=4)
+    store = ShardedStore(instance, ["Employee"], shards=2)
+    method = scenario_c_method()
+    employees = sorted(
+        obj for obj in instance.nodes if obj.cls == "Employee"
+    )
+    first = [Receiver([obj]) for obj in employees[:6]]
+    second = [Receiver([obj]) for obj in employees[6:12]]
+    try:
+        plan = FaultPlan(seed=0).error_at(SHARD_STAGE_FENCE, at=0)
+        with plan.installed():
+            version, route, staged = store.apply_batch(method, first)
+        assert plan.firings
+        assert route.kind == CROSS_SHARD
+        assert version.version == store.coordinator.head.version == 1
+        assert staged, "the heal should have reached every shard"
+        store.verify_consistent()
+
+        plan = FaultPlan(seed=0).error_at(
+            SHARD_STAGE_FENCE, probability=1.0, times=None
+        )
+        with plan.installed():
+            version, _, staged = store.apply_batch(method, second)
+        assert version.version == store.coordinator.head.version == 2
+        assert not staged
+        for k in range(store.shards):
+            store.resync_shard(k)
+        store.verify_consistent()
+        reference = unsharded_fold(
+            [(method, first), (method, second)], instance
+        )
+        assert store.coordinator.head.database.fingerprints() == (
+            fingerprints(reference)
+        )
     finally:
         store.close()
 
@@ -618,10 +682,10 @@ def test_from_wal_dir_recovers_the_coordinator_history(tmp_path):
         )
         recovered.verify_consistent()
         # And the recovered fleet keeps working.
-        version, route = recovered.apply_batch(
+        _, route, staged = recovered.apply_batch(
             scenario_b_method(), receivers[:4]
         )
-        assert route.kind == DISJOINT
+        assert route.kind == DISJOINT and staged
         recovered.verify_consistent()
     finally:
         recovered.close()
@@ -666,9 +730,8 @@ def drive_with_faults(store, batches):
     coordinator, and a fleet healed back to exactly the head.
 
     Returns the batches that durably committed (the reference fold's
-    input) — a batch whose apply raised counts if and only if the
-    coordinator published it (the commit is the decision record;
-    staging is idempotent redo).
+    input).  The commit is the decision record: a batch that raised
+    must have left the head where it was.
     """
     applied = []
     for method, batch in batches:
@@ -676,16 +739,7 @@ def drive_with_faults(store, batches):
         try:
             store.apply_batch(method, batch)
         except Exception:
-            # Committed-but-unstaged tails (a cross-shard route that
-            # died after the durable commit) must catch the shards up.
-            for _ in range(3):
-                try:
-                    store.stage_version(store.coordinator.head)
-                    break
-                except Exception:
-                    continue
-            if store.coordinator.head.version > before:
-                applied.append((method, batch))
+            assert store.coordinator.head.version == before
         else:
             applied.append((method, batch))
         settle(store)
@@ -753,7 +807,7 @@ def test_worker_kill_at_every_pipe_command_heals_transparently(
 @fork_only
 def test_worker_kill_mid_staging_is_unchanged_or_fully_applied(tmp_path):
     """Kill-mid-staging schedule: workers die *inside* the epoch fence
-    while holding a stage/apply command.  The durable coordinator
+    while holding a stage or mark command.  The durable coordinator
     commit decides; the healed shard replays only what the marker says
     is missing, so no schedule can half-apply a batch."""
     instance, receivers, batches = chaos_workload()
@@ -812,7 +866,7 @@ def test_restart_exhaustion_degrades_then_repromotes(tmp_path):
             for method, batch in batches:
                 # Every fresh worker dies instantly: after the restart
                 # budget the fleet must *still* take every batch.
-                _, route = store.apply_batch(method, batch)
+                _, route, _ = store.apply_batch(method, batch)
                 routes.append(route)
                 store.verify_consistent()
             assert store.supervisor.degraded_shards() != ()
@@ -866,7 +920,7 @@ def test_stale_epoch_commands_are_fenced():
                 (
                     "stage",
                     store.supervisor.epoch(0),
-                    None,
+                    store.coordinator.head.version,
                     {
                         "Employee.salary": RelationDelta(
                             deleted=frozenset(
@@ -890,9 +944,10 @@ def test_stale_epoch_commands_are_fenced():
 
 
 def test_resync_mode_is_tail_for_clean_behind_shards(tmp_path):
-    """A shard with a trusted marker catches up by staging only the
-    missing tail of coordinator deltas; a dirty marker (or an explicit
-    demand it cannot meet) falls back to the verifying dump-diff."""
+    """A shard with a known marker catches up by staging only the
+    missing tail of coordinator deltas, and a shard already at the head
+    takes an empty tail; a demanded full resync takes the verifying
+    dump-diff."""
     instance, receivers = sharded_company(n_employees=16, seed=5)
     store = ShardedStore(
         instance,
@@ -902,7 +957,7 @@ def test_resync_mode_is_tail_for_clean_behind_shards(tmp_path):
     )
     method = scenario_b_method()
     try:
-        # Cross-shard staging leaves every shard clean (stage + mark).
+        # Staging leaves every shard's marker at the head.
         employees = sorted(
             obj for obj in instance.nodes if obj.cls == "Employee"
         )
@@ -932,64 +987,21 @@ def test_resync_mode_is_tail_for_clean_behind_shards(tmp_path):
         assert store.resync_shard(0, mode="tail") == "tail"
         assert counter_value("store.shard.catchup_rows") == rows_before
 
-        # A disjoint apply leaves the touched shards dirty (their last
-        # local commit is unconfirmed), so tail replay is off the table
-        # until the coordinator confirms.
-        _, route = store.apply_batch(method, receivers[4:8])
+        # A disjoint-certified batch is staged like any other: its
+        # touched shards end at the head, so a demanded tail moves no
+        # rows.
+        _, route, _ = store.apply_batch(method, receivers[4:8])
+        assert route.is_disjoint
         victim = sorted(route.sub_batches)[0]
-        with pytest.raises(ShardingError):
-            store.resync_shard(victim, mode="tail")
+        rows_before = counter_value("store.shard.catchup_rows")
+        assert store.resync_shard(victim, mode="tail") == "tail"
+        assert counter_value("store.shard.catchup_rows") == rows_before
         full_before = counter_value("store.shard.resyncs.full")
-        assert store.resync_shard(victim) == "full"
+        assert store.resync_shard(victim, mode="full") == "full"
         assert (
             counter_value("store.shard.resyncs.full") == full_before + 1
         )
         store.verify_consistent()
-    finally:
-        store.close()
-
-
-def test_stage_version_interleaving_cannot_walk_shards_backwards():
-    """Regression for the explicit-commit race: when the *later* of two
-    dependent commits stages first, the monotone cursor replays both in
-    commit order, and the earlier writer's late call is a no-op — an
-    old delta can never re-add tuples a newer version removed."""
-    instance, receivers = sharded_company(n_employees=16, seed=6)
-    store = ShardedStore(instance, ["Employee"], shards=2)
-    try:
-        salary = sorted(store.merged_relations()["Employee.salary"])
-        emp, current = salary[0]
-        moneys = sorted(
-            {money for _, money in salary if money != current}
-        )
-        mid, new = moneys[0], moneys[1]
-        v1 = store.coordinator.commit_changes(
-            {
-                "Employee.salary": RelationDelta(
-                    deleted=frozenset({(emp, current)}),
-                    inserted=frozenset({(emp, mid)}),
-                )
-            }
-        )
-        v2 = store.coordinator.commit_changes(
-            {
-                "Employee.salary": RelationDelta(
-                    deleted=frozenset({(emp, mid)}),
-                    inserted=frozenset({(emp, new)}),
-                )
-            }
-        )
-        assert (v1.version, v2.version) == (1, 2)
-        # The later writer wins the race to stage_version...
-        store.stage_version(v2)
-        store.verify_consistent()
-        # ...and the earlier writer's arrival changes nothing.
-        store.stage_version(v1)
-        store.verify_consistent()
-        merged = store.merged_relations()["Employee.salary"]
-        assert (emp, new) in merged
-        assert (emp, mid) not in merged
-        assert (emp, current) not in merged
     finally:
         store.close()
 
@@ -1035,7 +1047,8 @@ def test_redo_after_a_mid_advance_heal_does_not_restage(
         victim = store._shards[0]._process
         victim.kill()
         victim.join(timeout=5.0)
-        store.stage_version(store.coordinator.head)
+        # An empty commit publishes nothing and advances every shard.
+        store.commit_transaction(store.coordinator.begin())
         assert store.supervisor.restarts[0] == 1
         # The stage of version 1 that found the dead worker, then the
         # bring-up's tail.
@@ -1151,6 +1164,68 @@ def test_from_wal_dir_recovery_is_per_shard_tail(tmp_path):
         resliced.close()
 
 
+def test_a_stage_without_its_marker_reopens_by_tail(tmp_path):
+    """A crash between a stage's commit record and its marker leaves
+    the shard's log one version past its last marker.  Re-staging that
+    version normalizes to nothing, so the reopen still tail-replays
+    from the lagging marker and lands on the head slice.  A torn log,
+    by contrast, recovers with its marker unknown: the dump-diff."""
+    wal_dir = str(tmp_path / "fleet")
+    instance, receivers = sharded_company(n_employees=16, seed=5)
+    store = ShardedStore(instance, ["Employee"], shards=2, wal_dir=wal_dir)
+    owned = [
+        r for r in receivers if store.partitioning.shard_of_receiver(r) == 0
+    ]
+    try:
+        for receiver in owned[:3]:
+            store.apply_batch(
+                scenario_c_method(), [Receiver([receiver.receiving_object])]
+            )
+        head = store.coordinator.head.database.fingerprints()
+    finally:
+        store.close()
+    # Cut shard 0's log right after its last commit record: the stage
+    # of the head version survives, every marker after it is gone.
+    path = os.path.join(wal_dir, "shard-0.wal")
+    with open(path, "rb") as handle:
+        lines = handle.readlines()
+    last_commit = max(
+        number
+        for number, line in enumerate(lines)
+        if parse_record(line).kind == KIND_COMMIT
+    )
+    assert any(
+        parse_record(line).kind == KIND_SHARD_META
+        for line in lines[last_commit + 1 :]
+    )
+    with open(path, "wb") as handle:
+        handle.writelines(lines[: last_commit + 1])
+    assert recover(path).shard_meta["applied"] == 2
+
+    recovered = ShardedStore.from_wal_dir(
+        wal_dir, employee_object_schema(), ["Employee"], shards=2
+    )
+    try:
+        assert recovered.recovery_report[0]["mode"] == "tail"
+        assert recovered.coordinator.head.version == 3
+        assert recovered.coordinator.head.database.fingerprints() == head
+        recovered.verify_consistent()
+    finally:
+        recovered.close()
+
+    with open(path, "ab") as handle:
+        handle.write(b'{"torn')
+    torn = ShardedStore.from_wal_dir(
+        wal_dir, employee_object_schema(), ["Employee"], shards=2
+    )
+    try:
+        assert torn.recovery_report[0]["mode"] == "full"
+        assert torn.recovery_report[1]["mode"] == "tail"
+        torn.verify_consistent()
+    finally:
+        torn.close()
+
+
 @fork_only
 @pytest.mark.benchmark_acceptance
 def test_recovery_cost_is_the_tail_not_the_slice(tmp_path):
@@ -1170,7 +1245,7 @@ def test_recovery_cost_is_the_tail_not_the_slice(tmp_path):
     method = scenario_b_method()
     try:
         store.apply_batch(method, receivers[:16])
-        # Cross-shard staging confirms every marker (shards go clean).
+        # Staging moves every shard's marker to the head.
         employees = sorted(
             obj for obj in instance.nodes if obj.cls == "Employee"
         )
