@@ -22,7 +22,7 @@ The renamed-apart ``self`` columns are named ``self__1``, ``self__2``,
 that occurs in ``E`` or in the schemas of its base relations.  The same
 expression therefore always yields a structurally equal ``par(E)`` — in
 every process, shard workers included — so the engine's interner,
-schema memo and plan cache recognise it from one write to the next.
+schema memo and result memo recognise it from one write to the next.
 """
 
 from __future__ import annotations

@@ -19,18 +19,20 @@ occurrence of an updated property relation.
   ``M_par``, the guard factors of the reduction, or repeated
   decision-procedure calls is evaluated once per database state.
 
-* **Deep pushdown and cardinality-guided joins.**  Where the optimizer's
+* **Deep pushdown and size-ordered joins.**  Where the optimizer's
   ``_flatten`` stops at ``Rename``/``Project`` barriers, the engine's
   planner flattens through them (renaming projected-away columns apart),
-  prunes unused columns before joining, and orders joins greedily by the
-  :func:`~repro.relational.cardinality.estimated_join_size` estimate
-  (ties broken by actual size, then original position — the plan is
-  deterministic).  A base relation joined to a running intermediate
-  at least :data:`INDEX_JOIN_RATIO` times smaller is probed through
-  its column index (:meth:`~repro.relational.relation.Relation.index`)
-  instead of scanned, and a base relation pruned to one column is read
-  off that column's index keys, so a region seeded from a small
-  relation such as ``rec`` costs its own size, not the state's.
+  prunes unused columns before joining, and joins by factor size: it
+  seeds with the smallest factor, then joins the smallest remaining
+  factor an equality connects to the running result, or takes the
+  product with the smallest remaining factor when none is connected
+  (ties go by factor position, so the plan is deterministic).  A base
+  relation joined to a running intermediate at least
+  :data:`INDEX_JOIN_RATIO` times smaller is probed through its column
+  index (:meth:`~repro.relational.relation.Relation.index`) instead of
+  scanned, and a base relation pruned to one column is read off that
+  column's index keys, so a region seeded from a small relation such
+  as ``rec`` costs its own size, not the state's.
 
 * **Observability.**  Per-operator counters (calls, rows in/out,
   hash-build sizes, wall time) in :class:`EngineStats`, and
@@ -49,18 +51,6 @@ changes through one more layer:
   replays stop re-evaluating work their update never touched
   (``EngineStats.cross_state_hits``; ``explain`` marks such subtrees
   ``reused``).
-
-Optimizer v2 adds one more layer on the hot path:
-
-* **Plan cache + sampled statistics.**  The join order and pushdown
-  shape chosen for a region is memoized in the shared
-  :class:`EngineCache`, keyed like the schema memo (interned node +
-  base-relation schemas) and guarded by base-relation fingerprints
-  with a size-drift band — a stable workload plans once
-  (``plan_cache_hits``), and replans only on real cardinality drift
-  (``replans``).  Fresh plans rank candidate joins through the shared
-  :class:`~repro.relational.cardinality.StatsCatalog`'s sampled
-  n-distinct estimates.
 
 Results are always identical to
 :func:`repro.relational.evaluate.evaluate` (the differential-testing
@@ -96,7 +86,6 @@ from repro.relational.algebra import (
     children,
     walk,
 )
-from repro.relational.cardinality import StatsCatalog, estimated_join_size
 from repro.resilience.budget import Budget
 from repro.resilience.budget import applied as budget_applied
 from repro.resilience.budget import tick as budget_tick
@@ -202,24 +191,6 @@ def intern_expr(expr: Expr) -> Expr:
 # ----------------------------------------------------------------------
 # Cross-state memoization
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _CachedPlan:
-    """One memoized join-region plan.
-
-    ``steps`` is the executable shape — ``("seed" | "join" | "product",
-    factor index)`` in execution order (join conditions are re-derived
-    from the expression at execution time, so only the *order* needs
-    recording).  ``fingerprints`` and ``factor_sizes`` record what the
-    plan was planned against: identical fingerprints mean the exact
-    same data, and sizes within a 2×+16 band mean the greedy choice
-    would almost surely come out the same — either way the plan is
-    reused; real drift triggers a replan."""
-
-    steps: Tuple[Tuple[str, int], ...]
-    factor_sizes: Tuple[int, ...]
-    fingerprints: Tuple[int, ...]
-
-
 class EngineCache:
     """A memo shared by engines across *database states*.
 
@@ -237,34 +208,19 @@ class EngineCache:
     workloads to release memory.
     """
 
-    def __init__(self, interner: Optional[Interner] = None) -> None:
-        self.interner = interner if interner is not None else Interner()
+    def __init__(self) -> None:
+        self.interner = Interner()
         self._results: Dict[Tuple[int, Tuple[int, ...]], Relation] = {}
         self._schemas: Dict[tuple, RelationSchema] = {}
         self._base_rels: Dict[int, Tuple[str, ...]] = {}
-        self._plan_entries: Dict[tuple, _CachedPlan] = {}
-        #: Sampled n-distinct estimates, shared by every engine bound to
-        #: this cache so a relation kept across states is sampled once.
-        self.stats_catalog = StatsCatalog()
 
     def __len__(self) -> int:
         return len(self._results)
 
     def clear(self) -> None:
-        """Drop all memoized results, schemas, plans and statistics
-        (keep the interner)."""
+        """Drop all memoized results and schemas (keep the interner)."""
         self._results.clear()
         self._schemas.clear()
-        self._plan_entries.clear()
-        self.stats_catalog.clear()
-
-    def forget_results(self) -> None:
-        """Drop memoized *results* only, keeping schemas, cached plans
-        and the statistics catalog — i.e. stay plan-warm but force
-        actual re-execution.  Used by benchmarks measuring executor
-        throughput, and handy for bounding memory on long workloads
-        without losing the planning state."""
-        self._results.clear()
 
     def base_relations(self, node: Expr) -> Tuple[str, ...]:
         """The sorted names of base relations ``node`` references.
@@ -323,20 +279,6 @@ class EngineCache:
 
     def store_schema(self, key: tuple, schema: RelationSchema) -> None:
         self._schemas[key] = schema
-
-    def plan_key(self, node: Expr, db_schema: DatabaseSchema) -> tuple:
-        """The plan-cache key of a join region: interned node identity
-        plus base-relation *schemas* — the inputs that fix the region's
-        shape.  Data freshness is checked per entry (fingerprints and
-        the size-drift band), not baked into the key, so one stable
-        workload keeps exactly one entry per region."""
-        return self.schema_key(node, db_schema)
-
-    def lookup_plan(self, key: tuple) -> Optional[_CachedPlan]:
-        return self._plan_entries.get(key)
-
-    def store_plan(self, key: tuple, plan: _CachedPlan) -> None:
-        self._plan_entries[key] = plan
 
 
 # ----------------------------------------------------------------------
@@ -414,7 +356,6 @@ class EngineStats:
         "hash_build_rows",
         "plan_cache_hits",
         "plan_cache_misses",
-        "replans",
     )
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
@@ -429,9 +370,10 @@ class EngineStats:
     cache_misses = _counter_property("cache_misses")
     cross_state_hits = _counter_property("cross_state_hits")
     hash_build_rows = _counter_property("hash_build_rows")
+    # The engine keeps no plan cache, so these two always read 0.  They
+    # stay because e2ebench's traced runs read them from every engine.
     plan_cache_hits = _counter_property("plan_cache_hits")
     plan_cache_misses = _counter_property("plan_cache_misses")
-    replans = _counter_property("replans")
 
     def op(self, name: str) -> OperatorStats:
         stats = self.operators.get(name)
@@ -446,11 +388,6 @@ class EngineStats:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
-    @property
-    def plan_cache_hit_rate(self) -> float:
-        total = self.plan_cache_hits + self.plan_cache_misses + self.replans
-        return self.plan_cache_hits / total if total else 0.0
-
     def render(self) -> str:
         """A small fixed-width table of the counters."""
         lines = [
@@ -458,9 +395,6 @@ class EngineStats:
             f"({self.cache_hit_rate:.1%} hit rate), "
             f"{self.cross_state_hits} cross-state hits, "
             f"hash build rows: {self.hash_build_rows}",
-            f"plans: {self.plan_cache_hits} hits / "
-            f"{self.plan_cache_misses} misses / {self.replans} replans "
-            f"({self.plan_cache_hit_rate:.1%} hit rate)",
             f"{'operator':<12}{'calls':>8}{'rows in':>10}"
             f"{'rows out':>10}{'wall ms':>10}",
         ]
@@ -521,14 +455,13 @@ class QueryEngine:
     def __init__(
         self,
         database: Database,
-        interner: Optional[Interner] = None,
         cache: Optional[EngineCache] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self._database = database
         self._db_schema: DatabaseSchema = database.schema
         if cache is None:
-            cache = EngineCache(interner)
+            cache = EngineCache()
         self._shared = cache
         self._interner = cache.interner
         self._local: Dict[int, Relation] = {}
@@ -756,15 +689,13 @@ class QueryEngine:
 
 class _RegionPlanner:
     """Plans and executes one ``Select``/``Product``/``Project``/``Rename``
-    region: deep flatten, column pruning, cardinality-guided greedy join.
+    region: deep flatten, column pruning, greedy join by factor size.
     """
 
     def __init__(self, engine: QueryEngine, root: Expr) -> None:
         self._engine = engine
         self._root = root
         self._stats = engine.stats
-        self._catalog = engine._shared.stats_catalog
-        self._plan_note: Optional[str] = None
         self._factors: List[_Factor] = []
         self._conditions: List[Condition] = []
         self._steps: List[str] = []
@@ -1003,94 +934,6 @@ class _RegionPlanner:
                 pairs.append((right, left))
         return pairs
 
-    # -- plan caching --------------------------------------------------
-    def _plan_key(self) -> tuple:
-        return self._engine._shared.plan_key(
-            self._root, self._engine._db_schema
-        )
-
-    def _plan_fingerprints(self) -> Tuple[int, ...]:
-        engine = self._engine
-        return engine._shared.result_key(self._root, engine._database)[1]
-
-    def _cached_steps(
-        self, relations: Sequence[Relation]
-    ) -> Optional[Tuple[Tuple[str, int], ...]]:
-        """The cached step sequence to execute, or ``None`` to plan
-        fresh.  Sets ``_plan_note`` and the plan-cache counters."""
-        if len(relations) < 2:
-            return None  # nothing to order; keep trivial regions out
-        engine = self._engine
-        stats = self._stats
-        entry = engine._shared.lookup_plan(self._plan_key())
-        if entry is None or len(entry.factor_sizes) != len(relations):
-            stats.plan_cache_misses += 1
-            self._plan_note = "plan: fresh (recording)"
-            return None
-        if entry.fingerprints == self._plan_fingerprints():
-            stats.plan_cache_hits += 1
-            self._plan_note = "plan: cached (content match)"
-            return entry.steps
-        sizes = tuple(len(r) for r in relations)
-        if all(
-            new <= 2 * old + 16 and old <= 2 * new + 16
-            for old, new in zip(entry.factor_sizes, sizes)
-        ):
-            stats.plan_cache_hits += 1
-            self._plan_note = "plan: cached (sizes compatible)"
-            return entry.steps
-        stats.replans += 1
-        self._plan_note = "plan: replanned (cardinality drift)"
-        return None
-
-    def _store_plan(
-        self,
-        relations: Sequence[Relation],
-        steps: Tuple[Tuple[str, int], ...],
-    ) -> None:
-        if len(relations) < 2:
-            return
-        self._engine._shared.store_plan(
-            self._plan_key(),
-            _CachedPlan(
-                steps=steps,
-                factor_sizes=tuple(len(r) for r in relations),
-                fingerprints=self._plan_fingerprints(),
-            ),
-        )
-
-    def _execute_steps(
-        self,
-        relations: Sequence[Relation],
-        steps: Tuple[Tuple[str, int], ...],
-    ) -> Relation:
-        """Run a cached plan: same step order, pairs re-derived from the
-        (structure-determined) condition list."""
-        seed_index = steps[0][1]
-        current = relations[seed_index]
-        self._steps.append(
-            f"seed {factor_label(self._factors[seed_index].node)}"
-            f"  rows={len(current)}"
-        )
-        current = self._apply_local(current)
-        for kind, index in steps[1:]:
-            factor = relations[index]
-            pairs = self._connecting_pairs(
-                set(current.schema.names), set(factor.schema.names)
-            )
-            if kind == "join" and pairs:
-                current, how = self._join(current, factor, index, pairs)
-                self._consume_pairs(pairs)
-                conds = ", ".join(f"{a}={b}" for a, b in pairs)
-                self._steps.append(
-                    f"{how} {factor_label(self._factors[index].node)} "
-                    f"on ({conds})  rows={len(current)}"
-                )
-            else:
-                current = self._product(current, factor, index)
-            current = self._apply_local(current)
-        return current
-
     def _consume_pairs(self, pairs: Sequence[Tuple[str, str]]) -> None:
         used = {(a, b) for a, b in pairs} | {(b, a) for a, b in pairs}
         self._conditions = [
@@ -1115,19 +958,16 @@ class _RegionPlanner:
         )
         return joined
 
-    def _greedy_join(
-        self, relations: Sequence[Relation]
-    ) -> Tuple[Relation, Tuple[Tuple[str, int], ...]]:
-        """Greedy cardinality-guided join, recording the step sequence
-        for the plan cache."""
-        catalog = self._catalog
-        recorded: List[Tuple[str, int]] = []
-        order = sorted(
+    def _greedy_join(self, relations: Sequence[Relation]) -> Relation:
+        """Join the factors by size: seed with the smallest, then join
+        the smallest remaining factor an equality connects to the
+        running result, or take the product with the smallest remaining
+        factor when none is connected.  Ties go by factor position."""
+        remaining = sorted(
             range(len(relations)), key=lambda i: (len(relations[i]), i)
         )
-        remaining = [(i, relations[i]) for i in order]
-        seed_index, current = remaining.pop(0)
-        recorded.append(("seed", seed_index))
+        seed_index = remaining.pop(0)
+        current = relations[seed_index]
         self._steps.append(
             f"seed {factor_label(self._factors[seed_index].node)}"
             f"  rows={len(current)}"
@@ -1136,45 +976,28 @@ class _RegionPlanner:
 
         while remaining:
             current_names = set(current.schema.names)
-            best: Optional[Tuple[float, int, int, int]] = None
-            best_pairs: List[Tuple[str, str]] = []
-            for position, (index, factor) in enumerate(remaining):
+            for position, index in enumerate(remaining):
                 pairs = self._connecting_pairs(
-                    current_names, set(factor.schema.names)
+                    current_names, set(relations[index].schema.names)
                 )
-                if not pairs:
-                    continue
-                rank = (
-                    estimated_join_size(current, factor, pairs, catalog),
-                    len(factor),
-                    index,
-                    position,
-                )
-                if best is None or rank < best:
-                    best = rank
-                    best_pairs = pairs
-            if best is None:
-                # No connecting equality: cross product, smallest first.
-                position = min(
-                    range(len(remaining)),
-                    key=lambda p: (len(remaining[p][1]), remaining[p][0]),
-                )
-                index, factor = remaining.pop(position)
-                recorded.append(("product", index))
-                current = self._product(current, factor, index)
+                if pairs:
+                    break
             else:
-                position = best[3]
-                index, factor = remaining.pop(position)
-                recorded.append(("join", index))
-                current, how = self._join(current, factor, index, best_pairs)
-                self._consume_pairs(best_pairs)
-                conds = ", ".join(f"{a}={b}" for a, b in best_pairs)
+                position = 0  # nothing connected: product, smallest first
+            index = remaining.pop(position)
+            factor = relations[index]
+            if pairs:
+                current, how = self._join(current, factor, index, pairs)
+                self._consume_pairs(pairs)
+                conds = ", ".join(f"{a}={b}" for a, b in pairs)
                 self._steps.append(
                     f"{how} {factor_label(self._factors[index].node)} "
-                    f"on ({conds})  est={best[0]:.1f}  rows={len(current)}"
+                    f"on ({conds})  rows={len(current)}"
                 )
+            else:
+                current = self._product(current, factor, index)
             current = self._apply_local(current)
-        return current, tuple(recorded)
+        return current
 
     def run(self) -> Tuple[Relation, _PlanEntry]:
         fault_point(ENGINE_PLAN)
@@ -1205,16 +1028,7 @@ class _RegionPlanner:
             )
             return relation, entry
 
-        steps = self._cached_steps(relations)
-        if self._plan_note is not None:
-            self._steps.append(self._plan_note)
-        if steps is not None:
-            current = self._execute_steps(relations, steps)
-        else:
-            current, recorded = self._greedy_join(relations)
-            self._store_plan(relations, recorded)
-
-        current = self._apply_local(current)
+        current = self._greedy_join(relations)
         if self._conditions:
             raise RelationError(
                 f"join planning left conditions {self._conditions} "

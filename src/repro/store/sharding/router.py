@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.coloring.regions import UpdateRegion, method_region
 from repro.core.receiver import Receiver
@@ -66,10 +66,6 @@ class Route:
     def is_disjoint(self) -> bool:
         return self.kind == DISJOINT
 
-    @property
-    def shards_touched(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.sub_batches))
-
 
 class Router:
     """Classifies batches against a fixed :class:`Partitioning`."""
@@ -81,20 +77,16 @@ class Router:
         self,
         method,
         receivers: Sequence[Receiver],
-        region: Optional[UpdateRegion] = None,
         degraded: Sequence[int] = (),
     ) -> Route:
-        """Classify ``(method, receivers)``.
-
-        ``region`` overrides the structural :func:`method_region` — a
-        caller holding a tighter inferred §4 coloring may pass
-        ``coloring_region(schema, inferred)`` instead.  ``degraded``
-        names shards currently on the inline fallback; touched ones are
-        reported on the route and counted.
+        """Classify ``(method, receivers)`` against the structural
+        :func:`method_region` of ``method``.  ``degraded`` names shards
+        currently on the inline fallback; touched ones are reported on
+        the route and counted.
         """
         started = time.perf_counter()
         try:
-            route = self._route(method, receivers, region, degraded)
+            route = self._route(method, receivers, degraded)
             if route.degraded_shards:
                 global_registry().counter(
                     "store.shard.route.degraded_batches"
@@ -109,11 +101,9 @@ class Router:
         self,
         method,
         receivers: Sequence[Receiver],
-        region: Optional[UpdateRegion] = None,
         degraded: Sequence[int] = (),
     ) -> Route:
-        if region is None:
-            region = method_region(method)
+        region = method_region(method)
         sub_batches = self.partitioning.split_receivers(receivers)
         touched_degraded = tuple(
             shard for shard in sorted(sub_batches) if shard in set(degraded)

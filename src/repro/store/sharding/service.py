@@ -54,7 +54,7 @@ and *catch-up-able*:
   version persist in the shard WAL as ``shard_meta`` records.
 * A worker death surfaces as :class:`WorkerDied`; the
   :class:`~repro.store.sharding.supervisor.ShardSupervisor` restarts
-  the process under the shared :class:`RetryPolicy` + a per-shard
+  the process under its full-jitter ``RESTART_POLICY`` + a per-shard
   breaker and **brings it up**: the shard recovers its own WAL, whose
   marker seeds the cursor, and the advance stages only the missing
   tail of coordinator deltas; then the in-flight command is re-issued
@@ -107,7 +107,6 @@ from repro.resilience.faults import (
     CrashPoint,
     fault_point,
 )
-from repro.resilience.retry import RetryPolicy
 from repro.store.sharding.partition import (
     Partitioning,
     ShardingError,
@@ -287,8 +286,6 @@ class ShardBackend:
                 name: database.relation(name).tuples
                 for name in database.relation_names
             }
-        if op == "fingerprints":
-            return self.store.head.database.fingerprints()
         if op == "checkpoint":
             _, epoch, compact = command
             self._fence(epoch, op)
@@ -593,8 +590,6 @@ class ShardedStore:
         wal_dir: Optional[str] = None,
         durability: str = "flush",
         supervised: bool = True,
-        restart_policy: Optional[RetryPolicy] = None,
-        restart_breaker_reset: float = 0.25,
         _coordinator: Optional[VersionedStore] = None,
         _bring_up_shards: bool = False,
     ) -> None:
@@ -629,12 +624,7 @@ class ShardedStore:
         self._cursors: List[Optional[int]] = [
             self.coordinator.head.version
         ] * shards
-        self.supervisor = ShardSupervisor(
-            self,
-            enabled=supervised,
-            policy=restart_policy,
-            breaker_reset=restart_breaker_reset,
-        )
+        self.supervisor = ShardSupervisor(self, enabled=supervised)
         self.recovery_report: Dict[int, Dict[str, Any]] = {}
         self._shards: List[Any] = []
         for k in range(shards):

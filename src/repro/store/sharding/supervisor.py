@@ -11,7 +11,7 @@ each rung engaged only when the one above fails:
    by the epoch guard in the backend rather than racing the
    replacement;
 3. **restart** — the replacement process recovers the shard's *own*
-   WAL under the shared full-jitter :class:`RetryPolicy`, gated by a
+   WAL under the full-jitter :data:`RESTART_POLICY`, gated by a
    per-shard :class:`CircuitBreaker` so a persistently crashing shard
    cannot stall every batch with futile forks;
 4. **catch up** — the store's bring-up (:meth:`ShardedStore._bring_up`,
@@ -73,6 +73,15 @@ _RESTART_FAILURES = (
 UP = "up"
 DEGRADED = "degraded"
 
+#: Restart attempts after a death (and redo deaths before degrading),
+#: with full-jitter backoff between attempts.
+RESTART_POLICY = RetryPolicy(
+    retries=2, base_delay=0.005, factor=2.0, max_delay=0.05, jitter=True
+)
+
+#: Seconds a shard's restart breaker stays open before a half-open probe.
+BREAKER_RESET = 0.25
+
 
 class ShardSupervisor:
     """Per-shard life-cycle manager for a :class:`ShardedStore`.
@@ -83,34 +92,14 @@ class ShardSupervisor:
     is still acknowledged, with ``staged=False``.
     """
 
-    def __init__(
-        self,
-        store,
-        enabled: bool = True,
-        policy: Optional[RetryPolicy] = None,
-        breaker_reset: float = 0.25,
-        sleep: Callable[[float], None] = time.sleep,
-        rng: Optional[random.Random] = None,
-    ) -> None:
+    def __init__(self, store, enabled: bool = True) -> None:
         # Weak, because the store owns this supervisor: a strong back
         # reference would leave every dropped fleet, its whole version
         # history included, for the cyclic garbage collector to find
         # in the middle of some later request.
         self.store = weakref.proxy(store)
         self.enabled = enabled
-        self.policy = (
-            policy
-            if policy is not None
-            else RetryPolicy(
-                retries=2,
-                base_delay=0.005,
-                factor=2.0,
-                max_delay=0.05,
-                jitter=True,
-            )
-        )
-        self._sleep = sleep
-        self._rng = rng if rng is not None else random.Random()
+        self._rng = random.Random()
         shards = store.partitioning.shards
         self._epochs: List[int] = [0] * shards
         self._states: List[str] = [UP] * shards
@@ -118,7 +107,7 @@ class ShardSupervisor:
         self._breakers: List[CircuitBreaker] = [
             CircuitBreaker(
                 failure_threshold=3,
-                reset_timeout=breaker_reset,
+                reset_timeout=BREAKER_RESET,
                 name=f"shard{k}.restart",
             )
             for k in range(shards)
@@ -173,7 +162,7 @@ class ShardSupervisor:
         budget, after which the shard degrades to the coordinator-side
         inline backend, which cannot lose a process.
         """
-        for _ in range(self.policy.retries + 1):
+        for _ in range(RESTART_POLICY.retries + 1):
             try:
                 return self.store._shards[shard].call(make_command())
             except _DEATHS as exc:
@@ -266,9 +255,9 @@ class ShardSupervisor:
         registry = global_registry()
         breaker = self._breakers[shard]
         attempt = 0
-        while attempt <= self.policy.retries and breaker.allow():
+        while attempt <= RESTART_POLICY.retries and breaker.allow():
             if attempt > 0:
-                self._sleep(self.policy.delay(attempt - 1, self._rng))
+                time.sleep(RESTART_POLICY.delay(attempt - 1, self._rng))
             try:
                 fault_point(SHARD_RESTART)
                 mode, rows = self._restart(shard)

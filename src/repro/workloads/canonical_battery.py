@@ -16,16 +16,14 @@ battery enumerates the instances that matter:
 Combined with random samples it makes the empirical minimal-coloring
 inference reliably converge to the true coloring on small schemas.
 
-Since optimizer v2 the battery also has a *relational* face:
-:func:`skewed_join_battery` builds a seeded large instance (default
-10⁵ fact rows) whose join key follows a skewed (power-law) distribution
-and whose value column is strongly *correlated* with the key — exactly
-the shape on which the System-R independence assumption misestimates a
-two-pair equi-join.  The engine's
-:class:`~repro.relational.cardinality.StatsCatalog` estimates it from
-sampled n-distinct counts, results must equal the reference
-``evaluate`` whatever the estimate, and the plan cache must hold across
-the repeated σ(×) queries.
+The battery also has a *relational* face: :func:`skewed_join_battery`
+builds a seeded large instance (default 10⁵ fact rows) whose join key
+follows a skewed (power-law) distribution and whose value column is
+strongly *correlated* with the key — the shape on which a System-R
+independence estimate misjudges a two-pair equi-join.  The query
+engine estimates nothing (it joins by factor size), so the battery
+serves as a large, skewed join workload: its results must equal the
+reference ``evaluate``, and the observability benchmark times it.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """The memoizing query engine: differential tests against both
 reference evaluators, CSE/caching behavior, plan observability, the
-stats catalog and plan cache (plans only, results never), and
-regression tests for the evaluator bugfix batch."""
+size rule that orders joins, and regression tests for the evaluator
+bugfix batch."""
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +19,8 @@ from repro.relational.algebra import (
     Select,
     Union,
 )
-from repro.relational.cardinality import estimated_join_size
 from repro.relational.database import Database, DatabaseSchema
 from repro.relational.engine import (
-    EngineCache,
     Interner,
     QueryEngine,
     intern_expr,
@@ -226,13 +226,6 @@ class TestObservability:
         rendered = stats.render()
         assert "hash_join" in rendered
         assert "hit rate" in rendered
-
-    def test_estimated_join_size(self, database):
-        e = database.relation("E")
-        u = database.relation("U")
-        assert estimated_join_size(e, u, []) == len(e) * len(u)
-        estimate = estimated_join_size(e, u, [("s", "u")])
-        assert 0 < estimate <= len(e) * len(u)
 
 
 # ----------------------------------------------------------------------
@@ -525,27 +518,18 @@ def test_string_and_int_keyed_joins_match_evaluate():
 
 
 # ----------------------------------------------------------------------
-# Stats catalog and plan cache: plans only, results never
+# Join order: one rule, by factor size
 # ----------------------------------------------------------------------
-#: Extreme n-distinct estimates: every column constant, or every value
-#: distinct (floored at 1, as the catalog's own estimate is).
-_NDISTINCT_EXTREMES = {
-    "one": lambda relation, attr: 1,
-    "rows": lambda relation, attr: len(relation) or 1,
-}
-
-
 @st.composite
 def candidate_regions(draw):
     """A join region seeded from a small ``rec``, with two join
-    candidates connected to it: ``B``, a larger base relation joined on
-    its key column (sometimes through a rename, sometimes on a second
-    pair too), and ``M``, smaller, joined on a column of at most two
-    values.  Sampled n-distinct counts put ``B`` first where pinned
-    extremes put ``M`` first, and as ``rec`` and ``B`` vary in size the
-    index-join rule picks the index join on some steps and the hash
-    join on others.  Columns the output does not name are pruned, so
-    ``B`` is sometimes read off its key column's index."""
+    candidates connected to it: ``B``, a base relation joined on its key
+    column (sometimes through a rename, sometimes on a second pair
+    too), and ``M``, joined on a column of at most two values.  As
+    ``rec`` and ``B`` vary in size the index-join rule picks the index
+    join on some steps and the hash join on others.  Columns the output
+    does not name are pruned, so ``B`` is sometimes read off its key
+    column's index."""
     n_big = draw(st.integers(8, 48))
     rec_rows = draw(
         st.frozensets(
@@ -586,41 +570,129 @@ def candidate_regions(draw):
     return Project(region, output), database
 
 
-def _plan_orders(cache):
-    return {key: plan.steps for key, plan in cache._plan_entries.items()}
-
-
-def test_catalog_corrections_never_alter_results():
-    """Pinning every n-distinct estimate at an extreme may reorder the
-    greedy joins, never change a result.  Over the run, some pinned
-    example must plan another order than the sampled estimates, and the
-    index-join rule must pick both kinds of join, or the property
-    checked nothing."""
-    seen = {"order changed": 0, "index_join": 0, "hash_join": 0}
+def test_size_ordered_joins_match_evaluate():
+    """The engine equals the reference evaluator on generated regions.
+    Over the run the index-join rule must pick both kinds of join, each
+    producing rows somewhere, or the property checked nothing."""
+    seen = {"index_join": 0, "hash_join": 0}
 
     @given(
-        st.one_of(st.tuples(engine_expressions(), databases()), candidate_regions()),
-        st.sampled_from(sorted(_NDISTINCT_EXTREMES)),
+        st.one_of(st.tuples(engine_expressions(), databases()), candidate_regions())
     )
     @settings(max_examples=150, deadline=None)
-    def check(case, extreme):
+    def check(case):
         expr, database = case
-        expected = evaluate(expr, database)
-        interner = Interner()
-        sampled = EngineCache(interner)
-        assert QueryEngine(database, cache=sampled).evaluate(expr) == expected
-        pinned = EngineCache(interner)
-        pinned.stats_catalog.ndistinct = _NDISTINCT_EXTREMES[extreme]
-        engine = QueryEngine(database, cache=pinned)
-        assert engine.evaluate(expr) == expected
-        if _plan_orders(pinned) != _plan_orders(sampled):
-            seen["order changed"] += 1
-        for name in ("index_join", "hash_join"):
-            if engine.stats.op(name).calls:
+        engine = QueryEngine(database)
+        assert engine.evaluate(expr) == evaluate(expr, database)
+        for name in seen:
+            if engine.stats.op(name).rows_out:
                 seen[name] += 1
 
     check()
     assert all(seen.values()), seen
+
+
+def _join_steps(plan):
+    """The ``(step, factor)`` pairs of a one-region plan, in order."""
+    return re.findall(
+        r"\| (seed|hash join|index join|product x) scan (\w+)", plan
+    )
+
+
+class TestSizeRule:
+    """``explain()`` shows the one join rule: seed with the smallest
+    factor, join the smallest connected factor, take the product with
+    the smallest factor when none is connected, ties by position."""
+
+    @staticmethod
+    def unary(name, size):
+        return Relation(schema_of((name, "int")), {(k,) for k in range(size)})
+
+    def test_smaller_connected_factor_joins_first(self):
+        # B comes before M in the region and P is smaller than both,
+        # but M is the smallest factor connected to rec; P connects to
+        # nothing, so it waits for the product at the end.
+        database = Database(
+            {
+                "rec": Relation(
+                    schema_of(("s", "int"), ("t", "int")), {(1, 0), (2, 1)}
+                ),
+                "B": Relation(
+                    schema_of(("bk", "int"), ("bv", "int")),
+                    {(k, k % 3) for k in range(32)},
+                ),
+                "M": Relation(
+                    schema_of(("mk", "int"), ("mv", "int")),
+                    {(k % 2, k) for k in range(5)},
+                ),
+                "P": self.unary("p", 3),
+            }
+        )
+        region = Select(
+            Select(
+                Product(Product(Product(Rel("rec"), Rel("B")), Rel("M")), Rel("P")),
+                "s",
+                "bk",
+                True,
+            ),
+            "t",
+            "mk",
+            True,
+        )
+        engine = QueryEngine(database)
+        assert _join_steps(engine.explain(region)) == [
+            ("seed", "rec"),
+            ("hash join", "M"),
+            ("index join", "B"),
+            ("product x", "P"),
+        ]
+        assert engine.evaluate(region) == evaluate(region, database)
+
+    def test_unconnected_seed_takes_the_product_with_the_smallest(self):
+        # Nothing connects to the seed A: the product takes C, the
+        # smallest of the rest, and the equality then joins D.
+        database = Database(
+            {
+                "A": self.unary("a", 2),
+                "D": self.unary("d", 6),
+                "C": self.unary("c", 4),
+            }
+        )
+        region = Select(
+            Product(Product(Rel("A"), Rel("D")), Rel("C")), "c", "d", True
+        )
+        engine = QueryEngine(database)
+        assert _join_steps(engine.explain(region)) == [
+            ("seed", "A"),
+            ("product x", "C"),
+            ("hash join", "D"),
+        ]
+        assert engine.evaluate(region) == evaluate(region, database)
+
+    def test_ties_go_by_factor_position(self):
+        database = Database(
+            {
+                "X": self.unary("x", 3),
+                "Y": self.unary("y", 3),
+                "Z": self.unary("z", 3),
+            }
+        )
+        for first, second, third in (("X", "Y", "Z"), ("Z", "Y", "X")):
+            region = Select(
+                Select(
+                    Product(Product(Rel(first), Rel(second)), Rel(third)),
+                    "x",
+                    "y",
+                    True,
+                ),
+                "y",
+                "z",
+                True,
+            )
+            engine = QueryEngine(database)
+            steps = _join_steps(engine.explain(region))
+            assert [name for _, name in steps] == [first, second, third]
+            assert engine.evaluate(region) == evaluate(region, database)
 
 
 class TestIndexJoin:
@@ -711,63 +783,3 @@ class TestIndexJoin:
         assert "prune scan B to [key__h0, bv__h1]  rows=24" in plan
         assert "index join scan B on (s=key__h0, t=bv__h1)" in plan
         assert engine.evaluate(expr) == evaluate(expr, database)
-
-
-def _join_case(fact_rows):
-    database = Database(
-        {
-            "F": Relation(
-                schema_of(("fk", "int"), ("fv", "int")), fact_rows
-            ),
-            "D": Relation(
-                schema_of(("dk", "int"), ("dv", "int")),
-                {(k, k) for k in range(8)},
-            ),
-        }
-    )
-    expr = Select(Product(Rel("F"), Rel("D")), "fk", "dk", True)
-    return database, expr
-
-
-class TestPlanCacheFreshness:
-    def test_content_match_and_size_band_hits(self):
-        rows = {(i % 8, i) for i in range(40)}
-        database, expr = _join_case(rows)
-        cache = EngineCache()
-        first = QueryEngine(database, cache=cache)
-        first.evaluate(expr)
-        assert first.stats.plan_cache_misses == 1
-
-        # Identical content: a content-match hit.
-        cache.forget_results()
-        second = QueryEngine(database, cache=cache)
-        assert second.evaluate(expr) == evaluate(expr, database)
-        assert second.stats.plan_cache_hits == 1
-
-        # Changed fingerprints, compatible sizes: still a (shape) hit,
-        # and the result reflects the *new* content.
-        drifted = {(i % 8, i + 1000) for i in range(40)}
-        new_database, _ = _join_case(drifted)
-        third = QueryEngine(new_database, cache=cache)
-        assert third.evaluate(expr) == evaluate(expr, new_database)
-        assert third.stats.plan_cache_hits == 1
-        assert third.stats.replans == 0
-
-    def test_cardinality_drift_forces_replan(self):
-        database, expr = _join_case({(i % 8, i) for i in range(40)})
-        cache = EngineCache()
-        QueryEngine(database, cache=cache).evaluate(expr)
-
-        # 5x the rows: outside the 2x+16 freshness band.
-        grown, _ = _join_case({(i % 8, i) for i in range(200)})
-        engine = QueryEngine(grown, cache=cache)
-        assert engine.evaluate(expr) == evaluate(expr, grown)
-        assert engine.stats.replans == 1
-        assert engine.stats.plan_cache_hits == 0
-        assert "replan" in engine.stats.render()
-
-        # The replan re-recorded the plan: next engine at this size hits.
-        cache.forget_results()
-        again = QueryEngine(grown, cache=cache)
-        assert again.evaluate(expr) == evaluate(expr, grown)
-        assert again.stats.plan_cache_hits == 1

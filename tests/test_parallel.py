@@ -292,7 +292,7 @@ class TestStableShadowNames:
         assert first is second
         assert self._shadows(first)
 
-    def test_commits_leave_interner_and_plan_counts_flat(self):
+    def test_commits_leave_interner_count_flat(self):
         from repro.server.testing import company_store
         from repro.sqlsim.scenarios import scenario_c_method
         from repro.store.txn import run_transaction
@@ -310,12 +310,7 @@ class TestStableShadowNames:
                     return txn
 
                 run_transaction(store, body)
-                counts.append(
-                    (
-                        len(store.cache.interner),
-                        len(store.cache._plan_entries),
-                    )
-                )
+                counts.append(len(store.cache.interner))
         finally:
             store.close()
         assert len(set(counts)) == 1, counts
