@@ -21,7 +21,11 @@ Series:
   fingerprint-keyed memo;
 * the sequential fold ``apply_sequence_incremental``: singleton
   ``M_par`` steps through the store's write path, one shared cache,
-  against the graph fold ``apply_sequence``.
+  against the graph fold ``apply_sequence``;
+* fresh-version query misses (``engine.query_fresh.<shape>[n2000]``):
+  the end-to-end ``mgr3`` and ``newsal`` shapes through a store engine
+  with the shared cache, on the version right after a (B') commit at
+  2,000 employees (no gate).
 
 Acceptance gates (marked ``benchmark_acceptance``, hand-timed so the
 numbers survive ``--benchmark-disable``): ``test_warm_cache_speedup``
@@ -45,11 +49,15 @@ from repro.parallel.apply import (
     parallel_database,
     parallel_statement_expression,
 )
+from repro.relational.algebra import Rel
 from repro.relational.delta import RelationDelta
 from repro.relational.engine import EngineCache, QueryEngine
 from repro.relational.evaluate import evaluate as evaluate_naive
 from repro.relational.optimizer import evaluate_optimized
+from repro.relational.parser import parse_expression
+from repro.server.testing import company_store
 from repro.sqlsim.scenarios import scenario_b_method
+from repro.store import run_transaction
 
 SIZES = [8, 32, 96]
 
@@ -184,6 +192,72 @@ def test_ablation_incremental_sequence(benchmark, size):
         lambda: apply_sequence_incremental(method, instance, receivers),
     )
     assert result == apply_sequence(method, instance, receivers)
+
+
+#: The end-to-end query shapes whose fresh-version misses are timed.
+FRESH_QUERIES = {
+    "mgr3": (
+        "pi[Employee, gsal]((Employee.manager"
+        " * rho[Employee->M](rho[manager->G](Employee.manager))"
+        " * rho[Employee->G2](rho[salary->gsal](Employee.salary)))"
+        " : manager=M, G=G2)"
+    ),
+    "newsal": (
+        "pi[Employee, new]((Employee.salary"
+        " * pi[old, new]((NewSal.old * rho[NewSal->NS2](NewSal.new))"
+        " : NewSal=NS2)) : salary=old)"
+    ),
+}
+#: Timed (B') commits per fresh-query series point (the minimum counts).
+FRESH_ROUNDS = 6
+
+
+def mgr3_by_hash_join(database):
+    """``mgr3``'s rows from a hash join of the naively evaluated
+    factors: a direct evaluation would be a product of 8e9 tuples."""
+    manager, salary = {}, {}
+    for emp, boss in evaluate_naive(Rel("Employee.manager"), database):
+        manager.setdefault(emp, []).append(boss)
+    for emp, money in evaluate_naive(Rel("Employee.salary"), database):
+        salary.setdefault(emp, []).append(money)
+    return {
+        (emp, money)
+        for emp, bosses in manager.items()
+        for boss in bosses
+        for grand in manager.get(boss, ())
+        for money in salary.get(grand, ())
+    }
+
+
+def test_query_fresh_series():
+    """``mgr3`` and ``newsal`` on the version right after a (B') commit
+    at 2,000 employees, each through a new store engine sharing the
+    cache (the end-to-end miss), checked against reference evaluations."""
+    store, receivers = company_store(n_employees=2000, seed=7)
+    method = scenario_b_method()
+    exprs = {
+        shape: parse_expression(text) for shape, text in FRESH_QUERIES.items()
+    }
+    for expr in exprs.values():  # warm the shared cache, as served
+        store.engine().evaluate(expr)
+    times = {shape: [] for shape in exprs}
+    for round_index in range(FRESH_ROUNDS):
+        batch = receivers[8 * round_index : 8 * round_index + 8]
+        _, version = run_transaction(
+            store, lambda txn: txn.apply_method(method, batch)
+        )
+        assert "Employee.salary" in version.changes
+        results = {}
+        for shape, expr in exprs.items():
+            engine = store.engine()
+            start = time.perf_counter()
+            results[shape] = engine.evaluate(expr)
+            times[shape].append(time.perf_counter() - start)
+        database = version.database
+        assert results["mgr3"].tuples == mgr3_by_hash_join(database)
+        assert results["newsal"] == evaluate_naive(exprs["newsal"], database)
+    for shape, values in times.items():
+        record_timing(f"engine.query_fresh.{shape}[n2000]", min(values))
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,8 @@ Two kinds of measurement:
   times a 2,000-row ``Employee.salary`` reply: ``fresh`` right after a
   write (the engine evaluates and the rows are encoded), ``repeat``
   the same query again (the engine's memo and the connection's reply
-  memo both hit).
+  memo both hit).  ``server.preencode_rows[n2000]`` times the encoder
+  of such a reply in process, with no server (no gate).
 
 * **Open-loop overload** (``server.load.*``) — a seeded open-loop
   generator issues requests at a fixed arrival rate ~4x the server's
@@ -40,6 +41,7 @@ latency.
 from __future__ import annotations
 
 import asyncio
+import json
 import statistics
 import time
 from typing import Dict, List
@@ -246,6 +248,23 @@ def test_query_scan_reply():
         store.close()
     record_timing("server.query.scan2000.fresh", min(fresh))
     record_timing("server.query.scan2000.repeat", min(repeat))
+
+
+def test_preencode_rows():
+    """``protocol.preencode_rows`` of the 2,000-row ``Employee.salary``
+    relation, checked against ``protocol.encode_rows`` and decoded back
+    to the relation's rows."""
+    store, _ = company_store(n_employees=2000, seed=7)
+    rows = store.head.database.relation("Employee.salary").tuples
+    decoded = json.loads(protocol.preencode_rows(rows).data)
+    assert decoded == protocol.encode_rows(rows)
+    assert {
+        tuple(protocol.decode_value(cell) for cell in row) for row in decoded
+    } == rows
+    record_timing(
+        "server.preencode_rows[n2000]",
+        best_of(lambda: protocol.preencode_rows(rows), repetitions=20),
+    )
 
 
 @pytest.mark.benchmark_acceptance

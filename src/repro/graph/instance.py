@@ -17,6 +17,7 @@ comparable by value.
 
 from __future__ import annotations
 
+from collections import _tuplegetter  # namedtuple's C field reader
 from dataclasses import dataclass
 from typing import (
     AbstractSet,
@@ -33,8 +34,20 @@ from typing import (
 from repro.graph.schema import Schema, SchemaError
 
 
-@dataclass(frozen=True)
-class Obj:
+#: The last component of every :class:`Obj` tuple: private to this
+#: module and to this process, so no tuple that is not an object (such
+#: as the pair ``(cls, key)``) ever compares equal to one.
+_OBJ_TAG = object()
+
+
+def _unordered(op: str, left: object, right: object) -> TypeError:
+    return TypeError(
+        f"'{op}' not supported between instances of "
+        f"{type(left).__name__!r} and {type(right).__name__!r}"
+    )
+
+
+class Obj(tuple):
     """An object: a member of the universe of class ``cls``.
 
     ``key`` distinguishes objects within a class; any hashable value
@@ -42,36 +55,59 @@ class Obj:
     are distinct even when their keys coincide.  Ordering is total and
     deterministic even across mixed key types (keys compare by type name
     first), so instances render and iterate reproducibly.
+
+    An object is the tuple ``(cls, key, _OBJ_TAG)``, so hashing and
+    equality run in tuple's C slots wherever rows are hashed, and the
+    tag keeps it unequal to every tuple that is not an object.  Per-row
+    readers may read ``obj[0]`` and ``obj[1]`` for ``cls`` and ``key``.
+    An object is not iterable, compares in order only with objects, and
+    pickles as ``Obj(cls, key)``, so each process rebuilds it with its
+    own tag.
     """
 
-    cls: str
-    key: Hashable
+    __slots__ = ()
+
+    def __new__(_type, cls: str, key: Hashable) -> "Obj":
+        return tuple.__new__(_type, (cls, key, _OBJ_TAG))
+
+    cls = _tuplegetter(0, "The class name labeling the object.")
+    key = _tuplegetter(1, "The key distinguishing it within its class.")
+
+    def __iter__(self) -> Iterator:
+        raise TypeError(f"{type(self).__name__!r} object is not iterable")
+
+    def __reduce__(self) -> Tuple[type, Tuple[str, Hashable]]:
+        return (type(self), (self[0], self[1]))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(cls={self[0]!r}, key={self[1]!r})"
+
+    def __str__(self) -> str:
+        return f"{self[0]}#{self[1]}"
 
     def _sort_key(self) -> Tuple[str, str, str]:
-        return (self.cls, type(self.key).__name__, str(self.key))
+        key = self[1]
+        return (self[0], type(key).__name__, str(key))
 
     def __lt__(self, other: "Obj") -> bool:
         if not isinstance(other, Obj):
-            return NotImplemented
+            raise _unordered("<", self, other)
         return self._sort_key() < other._sort_key()
 
     def __le__(self, other: "Obj") -> bool:
         if not isinstance(other, Obj):
-            return NotImplemented
+            raise _unordered("<=", self, other)
         return self == other or self < other
 
     def __gt__(self, other: "Obj") -> bool:
         if not isinstance(other, Obj):
-            return NotImplemented
+            raise _unordered(">", self, other)
         return other < self
 
     def __ge__(self, other: "Obj") -> bool:
         if not isinstance(other, Obj):
-            return NotImplemented
+            raise _unordered(">=", self, other)
         return other <= self
-
-    def __str__(self) -> str:
-        return f"{self.cls}#{self.key}"
 
 
 @dataclass(frozen=True, order=True)

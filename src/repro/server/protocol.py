@@ -376,24 +376,25 @@ def preencode_rows(rows: Iterable[Tuple]) -> EncodedRows:
     for row in rows:
         cells: List[str] = []
         for cell in row:
-            if (
-                type(cell) is Obj
-                and type(cell.key) is int
-                and type(cell.cls) is str
-            ):
-                prefix = prefixes.get(cell.cls)
-                if prefix is None:
-                    prefix = prefixes[cell.cls] = "[" + _STRING(cell.cls) + ","
-                cells.append(f"{prefix}{cell.key}]")
-            else:
-                cells.append(_COMPACT(encode_value(cell)))
-        texts.append("[" + ",".join(cells) + "]")
-    if _escapes_nothing("".join(texts)):
-        texts.sort()
-    else:
+            if type(cell) is Obj:
+                # Positional reads of cls and key: the fastest route.
+                cls = cell[0]
+                key = cell[1]
+                if type(key) is int and type(cls) is str:
+                    prefix = prefixes.get(cls)
+                    if prefix is None:
+                        prefix = prefixes[cls] = "[" + _STRING(cls) + ","
+                    cells.append(f"{prefix}{key}]")
+                    continue
+            cells.append(_COMPACT(encode_value(cell)))
+        texts.append(f"[{','.join(cells)}]")
+    texts.sort()
+    text = f"[{','.join(texts)}]"
+    if not _escapes_nothing(text):
         texts.sort(key=_order_key)
+        text = f"[{','.join(texts)}]"
     try:
-        return EncodedRows(("[" + ",".join(texts) + "]").encode("utf-8"))
+        return EncodedRows(text.encode("utf-8"))
     except UnicodeEncodeError as exc:
         raise ProtocolError(f"a row is not representable on the wire: {exc}")
 

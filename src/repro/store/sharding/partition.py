@@ -91,7 +91,9 @@ def stable_shard_hash(obj: Obj) -> int:
     ``hash(str)``, which varies with ``PYTHONHASHSEED`` and would
     scatter the same object to different shards in different workers.
     """
-    return zlib.crc32(repr((obj.cls, obj.key)).encode("utf-8"))
+    # The text of ``repr((cls, key))``, built without the pair, from
+    # positional reads of the object's fields.
+    return zlib.crc32(f"({obj[0]!r}, {obj[1]!r})".encode("utf-8"))
 
 
 @dataclass(frozen=True)

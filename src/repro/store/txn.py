@@ -63,6 +63,7 @@ from repro.obs import flight
 from repro.obs import tracer as trace
 from repro.obs.metrics import global_registry
 from repro.parallel.apply import method_read_relations, parallel_changes
+from repro.relational.database import Database
 from repro.relational.delta import RelationDelta, normalize_changes
 from repro.relational.engine import QueryEngine
 from repro.relational.relation import Relation
@@ -445,10 +446,14 @@ class Transaction:
                 head = store.head
                 intervening = store.versions_after(self.snapshot.version)
                 if not intervening:
+                    # The head is the snapshot, so the working state is
+                    # the new version's state.
                     self._path = "fastpath"
                     span.set(path="fastpath")
                     registry.counter("store.txn.fastpath").inc()
-                    return self._publish(self._writes)
+                    return self._publish(
+                        self._writes, database=self._database
+                    )
                 writes_overlap, reads_overlap = self._interferes(
                     intervening
                 )
@@ -509,11 +514,16 @@ class Transaction:
                     f"commit(s) on {overlap}"
                 )
 
-    def _publish(self, changes: Mapping[str, RelationDelta]) -> Version:
+    def _publish(
+        self,
+        changes: Mapping[str, RelationDelta],
+        database: Optional[Database] = None,
+    ) -> Version:
         version = self.store.commit_changes(
             changes,
             operations=self._operations,
             txn_id=self.id,
+            database=database,
         )
         self.status = COMMITTED
         self.snapshot.release()

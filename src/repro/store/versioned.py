@@ -422,6 +422,7 @@ class VersionedStore:
         changes: Mapping[str, RelationDelta],
         operations: Iterable[MethodApplication] = (),
         txn_id: Optional[int] = None,
+        database: Optional[Database] = None,
     ) -> Version:
         """Commit a change set against the current head (low-level).
 
@@ -434,6 +435,12 @@ class VersionedStore:
         happened.  The log can never durably hold a record the chain
         skipped.
 
+        ``database``, when given, is the head's database with
+        ``changes`` already applied, sharing every relation
+        ``changes`` does not name (a fastpath transaction's working
+        state): it becomes the new version's state instead of the
+        change set being applied to the head a second time.
+
         Transactions go through :meth:`begin` instead, which layers
         conflict detection on top; ``commit_changes`` is the primitive
         they (and recovery tooling) share.
@@ -443,10 +450,14 @@ class VersionedStore:
             effective = normalize_changes(head.database, changes)
             if not effective:
                 return head
+            if database is None or len(effective) < len(changes):
+                # A named relation that nets to no change would be
+                # published as an unshared copy: build from the head.
+                database = head.database.apply_delta(effective)
             number = head.version + 1
             version = Version(
                 version=number,
-                database=head.database.apply_delta(effective),
+                database=database,
                 changes=effective,
                 operations=tuple(operations),
                 txn_id=txn_id,

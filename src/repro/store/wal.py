@@ -90,7 +90,12 @@ def encode_value(value: Any) -> Any:
     genuine dict or list can appear in a row.
     """
     if isinstance(value, Obj):
-        return {"o": [value.cls, encode_value(value.key)]}
+        # Positional reads of cls and key, the fastest per-row route;
+        # an int or str key passes through without a call.
+        key = value[1]
+        if type(key) is not int and type(key) is not str:
+            key = encode_value(key)
+        return {"o": [value[0], key]}
     if isinstance(value, tuple):
         return {"t": [encode_value(v) for v in value]}
     if isinstance(value, bool) or value is None:

@@ -433,6 +433,77 @@ class TestCommitPaths:
         assert failing.status == "aborted"
 
 
+class TestPublishedState:
+    """A fastpath commit publishes the transaction's working database;
+    the other tiers build the new state from the head."""
+
+    def test_fastpath_publishes_the_working_database(self, store, method):
+        receivers = receivers_of(store)
+        before = store.head
+        txn = store.begin()
+        first = txn.apply_method(method, receivers[:4])
+        second = txn.apply_method(method, receivers[4:8])
+        working = txn._database
+        version = txn.commit()
+        assert txn.audit()["path"] == "fastpath"
+        assert store.head is version
+        assert version.database is working
+        assert version.database == before.database.apply_delta(
+            compose_changes(first, second)
+        )
+        assert version.database == instance_to_database(
+            apply_sequence(method, before.instance, receivers[:8])
+        )
+        # The WAL record is the change set normalized against the head.
+        assert version.changes == compose_changes(first, second)
+
+    def test_fastpath_shares_a_relation_whose_writes_cancel(self, store):
+        before = store.head.database
+        employee = sorted(before.relation("Employee.manager"))[0][0]
+        row = (employee, employee)
+        assert row not in before.relation("Employee.manager").tuples
+        employee, money = sorted(before.relation("Employee.salary"))[0]
+        txn = store.begin()
+        txn.stage(
+            {
+                "Employee.manager": RelationDelta(
+                    inserted=frozenset({row})
+                ),
+                "Employee.salary": RelationDelta(
+                    deleted=frozenset({(employee, money)})
+                ),
+            }
+        )
+        txn.stage(
+            {"Employee.manager": RelationDelta(deleted=frozenset({row}))}
+        )
+        version = txn.commit()
+        assert txn.audit()["path"] == "fastpath"
+        assert set(version.changes) == {"Employee.salary"}
+        assert version.database.relation(
+            "Employee.manager"
+        ) is before.relation("Employee.manager")
+        assert (employee, money) not in version.database.relation(
+            "Employee.salary"
+        ).tuples
+
+    def test_replay_tier_builds_from_the_head(self, store, method):
+        receivers = receivers_of(store)
+        first = store.begin()
+        second = store.begin()
+        first.apply_method(method, receivers[:6])
+        second.apply_method(method, receivers[6:])
+        first.commit()
+        working = second._database
+        version = second.commit()
+        assert second.audit()["path"] == "replay"
+        assert version.database is not working
+        expected = apply_sequence(
+            method, store.version(0).instance, receivers
+        )
+        assert version.database == instance_to_database(expected)
+
+
 # ----------------------------------------------------------------------
 # Classification and helpers
 # ----------------------------------------------------------------------
