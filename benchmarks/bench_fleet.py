@@ -4,9 +4,9 @@ Three series, written to ``BENCH_fleet.json``:
 
 * ``fleet.mttr_s`` — mean time to repair: wall time from the first
   supervised call that trips over a killed worker to the healed reply,
-  covering detection (pipe EOF), epoch-fenced restart from the shard's
-  own WAL, and incremental catch-up.  One point per run: the best of
-  its repetitions, as the resync series record.
+  covering detection (pipe EOF) and a replacement spawned from a fresh
+  slice of the coordinator head.  One point per run: the best of its
+  repetitions, as the resync series record.
 * ``fleet.resync.tail_s`` vs ``fleet.resync.full_s`` — the healing
   ladder's two recovery rungs on a fleet holding ~10^5 partitioned
   rows: staging only the missing tail of coordinator deltas against
@@ -16,12 +16,13 @@ Three series, written to ``BENCH_fleet.json``:
 * ``fleet.overhead.*`` — steady-state cost of supervision with no
   faults: an identical (B') batch stream through a supervised and an
   unsupervised inline fleet, each batch committed on the coordinator
-  and staged to both shards.  Acceptance: the supervised fleet is
-  within 5% — the probe/epoch bookkeeping may not tax the fault-free
-  path.
+  and staged to both shards.  Acceptance: the median of the per-pair
+  ratios over alternating pairs is within 5% — the supervisor's
+  bookkeeping may not tax the fault-free path.
 """
 
 import multiprocessing
+import statistics
 import time
 
 import pytest
@@ -38,14 +39,14 @@ fork_only = pytest.mark.skipif(
 
 MTTR_REPS = 3
 RESYNC_REPS = 3
-OVERHEAD_REPS = 5
+OVERHEAD_PAIRS = 9
 BEHIND_COMMITS = 4
 
 
 def _leave_behind(store, receivers, method, count=BEHIND_COMMITS):
-    """Commit straight on the coordinator: the fleet's markers stay
-    known but fall ``count`` versions behind the head — the state every
-    restarted worker wakes up in."""
+    """Commit straight on the coordinator: the fleet's cursors stay
+    known but fall ``count`` versions behind the head — the lag a tail
+    resync catches up."""
     for receiver in receivers[:count]:
         txn = store.coordinator.begin()
         txn.apply_method(method, [receiver])
@@ -55,8 +56,9 @@ def _leave_behind(store, receivers, method, count=BEHIND_COMMITS):
 @fork_only
 def test_fleet_mttr(tmp_path):
     """Kill a worker, then time the supervised call that heals it:
-    detection, restart from the shard WAL, and catch-up to the head.
-    The run records one point, the best of its repetitions."""
+    detection, a replacement spawned from a fresh slice of the
+    coordinator head, and its reply.  The run records one point, the
+    best of its repetitions."""
     instance, receivers = sharded_company(n_employees=256)
     method = scenario_b_method()
     best = float("inf")
@@ -94,7 +96,7 @@ def test_tail_resync_beats_full_reslice_at_1e5_rows():
     full dump-diff re-slice on a fleet holding ~10^5 partitioned rows.
 
     Both arms heal the same shape of damage — a shard with a known
-    marker a few coordinator commits behind the head — so the ratio
+    cursor a few coordinator commits behind the head — so the ratio
     isolates the ladder rungs themselves: the tail stages only the
     missing deltas, the full rung re-derives and diffs the entire
     slice.  Hand-timed best-of like the other acceptance gates.
@@ -147,8 +149,11 @@ def test_tail_resync_beats_full_reslice_at_1e5_rows():
 @pytest.mark.benchmark_acceptance
 def test_supervision_overhead_is_negligible():
     """Acceptance: with no faults, the supervised fleet commits and
-    stages an identical batch stream within 5% of an unsupervised
-    one."""
+    stages an identical batch stream within 5% of an unsupervised one.
+
+    The gate is the median of per-pair ratios over alternating pairs,
+    so one slow run on a noisy host moves one ratio, not the verdict.
+    """
     instance, receivers = sharded_company(n_employees=256)
     method = scenario_b_method()
     batches = raise_batches(receivers, 16)
@@ -167,13 +172,23 @@ def test_supervision_overhead_is_negligible():
             store.close()
         return elapsed
 
-    supervised_best = bare_best = float("inf")
-    for _ in range(OVERHEAD_REPS):
-        # Interleave the arms so drift hits both equally.
-        supervised_best = min(supervised_best, run(True))
-        bare_best = min(bare_best, run(False))
-    record_timing("fleet.overhead.supervised_s", supervised_best)
-    record_timing("fleet.overhead.bare_s", bare_best)
-    ratio = supervised_best / bare_best
+    supervised_runs, bare_runs, ratios = [], [], []
+    for pair in range(OVERHEAD_PAIRS):
+        # Alternate which arm goes first so drift hits both equally.
+        if pair % 2:
+            bare = run(False)
+            supervised = run(True)
+        else:
+            supervised = run(True)
+            bare = run(False)
+        supervised_runs.append(supervised)
+        bare_runs.append(bare)
+        ratios.append(supervised / bare)
+    record_timing("fleet.overhead.supervised_s", min(supervised_runs))
+    record_timing("fleet.overhead.bare_s", min(bare_runs))
+    ratio = statistics.median(ratios)
     record_timing("fleet.overhead.ratio", ratio)
-    assert ratio <= 1.05, f"supervision overhead {ratio:.3f}x"
+    assert ratio <= 1.05, (
+        f"supervision overhead {ratio:.3f}x (median of "
+        f"{len(ratios)} pair ratios)"
+    )

@@ -1,7 +1,8 @@
 """The coloring-partitioned sharded store, end to end.
 
 * builds a company object base and a 4-shard fleet (one worker process
-  per shard, each with its own ``VersionedStore`` + WAL);
+  per shard, each with its own in-memory ``VersionedStore``; the
+  coordinator's WAL is the fleet's only log);
 * applies scenario (B') raises — the router *proves* the sub-batches
   disjoint from the method's read/write region and reports the batch
   ``disjoint``;
@@ -10,7 +11,8 @@
 * every batch, whatever its class, commits on the coordinator and is
   staged to the shards as that committed version;
 * reassembles the shard fleet and checks it against the coordinator
-  head, then recovers the whole fleet from its WALs.
+  head, then recovers the whole fleet from the coordinator's WAL, every
+  shard spawned from a fresh slice of the recovered head.
 
 Run:  python examples/sharded_store.py
       python examples/sharded_store.py --trace trace.json --flight flight.json
@@ -87,7 +89,7 @@ def main() -> None:
                     print(f"  {name} = {counters[name]}")
             histograms = global_registry().histograms()
             for name in sorted(histograms):
-                if name.startswith("shard") and name.endswith("fsync_ms"):
+                if name.startswith("shard") and name.endswith("stage_ms"):
                     p = histograms[name]["percentiles"]
                     print(
                         f"  {name}: p50={p['p50']:.3f}ms "
@@ -106,7 +108,7 @@ def main() -> None:
                 == head
             )
             recovered.verify_consistent()
-            print("\nrecovered the fleet from its WALs: ok")
+            print("\nrecovered the fleet from the coordinator WAL: ok")
         finally:
             recovered.close()
 

@@ -20,9 +20,9 @@ Two region sources are provided:
 * :func:`method_region` — structurally exact for
   :class:`~repro.algebraic.method.AlgebraicUpdateMethod`: the read
   region is :func:`~repro.parallel.apply.method_read_relations` (the
-  base relations of the ``par``-transformed statement bodies plus the
-  target class extents), the write region the property relations of
-  the updated labels.
+  relations the statement bodies name, bar ``self`` and the arguments,
+  plus the target class extents), the write region the property
+  relations of the updated labels.
 """
 
 from __future__ import annotations
@@ -101,9 +101,10 @@ def coloring_region(schema: Schema, coloring: Coloring) -> UpdateRegion:
 def method_region(method) -> UpdateRegion:
     """The structurally exact region of an algebraic update method.
 
-    Reads: the base relations referenced by the ``par``-transformed
-    statement bodies plus the target class extents consulted by the
-    well-typedness check (:func:`~repro.parallel.apply.method_read_relations`).
+    Reads: the relations the statement bodies name, bar ``self`` and
+    the arguments — the base relations ``par(E)`` reads — plus the
+    target class extents consulted by the well-typedness check
+    (:func:`~repro.parallel.apply.method_read_relations`).
     Writes: the property relations of the updated labels — ``M_par``
     only ever replaces ``a``-edges of receiving objects, so every write
     row is keyed by the receiving object in the source column.

@@ -35,7 +35,12 @@ from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.obs import tracer as trace
 from repro.obs.metrics import global_registry
-from repro.algebraic.expression import UpdateTypeError, evaluate_update_expression
+from repro.algebraic.expression import (
+    SELF,
+    UpdateTypeError,
+    arg_name,
+    evaluate_update_expression,
+)
 from repro.algebraic.method import AlgebraicUpdateMethod
 from repro.core.receiver import Receiver, is_key_set
 from repro.core.signature import MethodSignature
@@ -132,20 +137,24 @@ def method_read_relations(
 ) -> FrozenSet[str]:
     """The base relations an ``M_par`` application reads.
 
-    The relation names referenced by the ``par``-transformed statement
-    bodies (minus the transaction-local ``rec`` binding) plus the target
-    class extents consulted by the well-typedness check — the *read set*
-    the optimistic transactions of :mod:`repro.store.txn` validate
-    against concurrent writers.
+    Every relation a statement body names, except ``self`` and the
+    arguments, plus the target class extents consulted by the
+    well-typedness check — the *read set* the optimistic transactions
+    of :mod:`repro.store.txn` validate against concurrent writers.
+    That is exactly the set ``par(E)`` reads besides ``rec``:
+    :func:`~repro.parallel.transform.par_transform` maps ``self`` and
+    each ``arg_i`` to ``rec``, keeps every other relation and adds
+    none, so the read set needs no transform.
     """
+    bound = {SELF} | {
+        arg_name(index) for index in range(1, method.signature.arity + 1)
+    }
     names: Set[str] = set()
     for label in method.updated_properties:
-        expr = parallel_statement_expression(method, label)
-        for node in walk(expr):
-            if isinstance(node, Rel):
+        for node in walk(method.expression(label)):
+            if isinstance(node, Rel) and node.name not in bound:
                 names.add(node.name)
         names.add(method.object_schema.edge(label).target)
-    names.discard(REC)
     return frozenset(names)
 
 

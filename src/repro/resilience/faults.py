@@ -72,12 +72,12 @@ coordinator-side inline execution instead of failing the caller.
 Like :data:`SHARD_WORKER`, not in :data:`KNOWN_SITES`: only the fleet
 chaos tests (``tests/test_sharding.py``) cross it."""
 SHARD_STAGE_FENCE = "shard.stage.fence"
-"""A shard backend's epoch fence, crossed before every fenced command
-(apply / stage / mark) executes.  Inside a worker process a ``kill``
-here dies *mid-staging* — after the coordinator decided, before the
-shard acked — the window the supervisor's redo-after-restart must
-close.  Not in :data:`KNOWN_SITES` for the same reason as
-:data:`SHARD_WORKER`."""
+"""Top of a shard backend's ``stage``, before the slice commits.  Inside
+a worker process a ``kill`` here dies *mid-staging* — after the
+coordinator decided, before the shard acked — the window the
+supervisor's redo-after-restart must close; an ``error`` fails the
+stage, which the cursor advance heals.  Not in :data:`KNOWN_SITES` for
+the same reason as :data:`SHARD_WORKER`."""
 SERVER_ACCEPT = "server.accept"
 """Entry of the network server's per-connection accept path, before a
 session exists.  A ``kill`` drops the connection on the floor (the

@@ -29,7 +29,6 @@ from repro.resilience.faults import CrashPoint, FaultInjector
 from repro.store.wal import (
     KIND_CHECKPOINT,
     KIND_COMMIT,
-    KIND_SHARD_META,
     WalError,
     WalRecord,
     parse_record,
@@ -108,13 +107,6 @@ class RecoveredState:
 
     problems: List[str] = field(default_factory=list)
 
-    shard_meta: Optional[Dict] = None
-    """Payload of the last ``shard_meta`` record (``None`` when the log
-    carries none) — a shard backend's ``{"epoch", "applied"}`` recovery
-    marker.  Commits after it are stages of later coordinator versions
-    whose marker never landed, so ``applied`` may lag the replayed
-    state but never runs ahead of it."""
-
     @property
     def clean(self) -> bool:
         """Whether the log validated end to end (nothing truncated)."""
@@ -169,10 +161,6 @@ def recover(path: str, truncate: bool = True) -> RecoveredState:
                 handle.truncate(valid_bytes)
         version, database = replay(records)
         commits = sum(1 for r in records if r.kind == KIND_COMMIT)
-        shard_meta: Optional[Dict] = None
-        for record in records:
-            if record.kind == KIND_SHARD_META:
-                shard_meta = dict(record.payload)
         span.set(
             records=len(records),
             commits=commits,
@@ -191,7 +179,6 @@ def recover(path: str, truncate: bool = True) -> RecoveredState:
         commits_applied=commits,
         truncated_bytes=torn,
         problems=problems,
-        shard_meta=shard_meta,
     )
 
 

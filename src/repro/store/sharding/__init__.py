@@ -16,16 +16,15 @@ the instance; this package spends that proof as a *partitioner*:
   coordinator, and one per-shard cursor advance stages it (or brings
   any shard up to date);
 * :mod:`repro.store.sharding.supervisor` — :class:`ShardSupervisor`,
-  the self-healing ladder: worker-death detection, epoch-fenced
-  restarts through the store's shared bring-up (per-shard WAL
-  recovery, then the cursor advance), and the degrade-to-inline
-  fallback past the restart budget.
+  the self-healing ladder: worker-death detection, restarts through
+  the store's shared bring-up (a fresh slice of the coordinator head),
+  the degrade-to-inline fallback past the restart budget, and the
+  probe that re-promotes it.
 """
 
 from repro.store.sharding.partition import (
     Partitioning,
     ShardingError,
-    StaleEpochError,
     WorkerDied,
     stable_shard_hash,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "ShardSupervisor",
     "ShardedStore",
     "ShardingError",
-    "StaleEpochError",
     "WorkerDied",
     "stable_shard_hash",
 ]

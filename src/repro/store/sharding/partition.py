@@ -72,16 +72,6 @@ class WorkerDied(ShardingError):
     """
 
 
-class StaleEpochError(ShardingError):
-    """A fenced command carried an epoch older than the shard's own.
-
-    The zombie-worker guard: every restart bumps the shard's epoch, so
-    a command built for (or acked by) a predecessor worker can never be
-    mistaken for current — the backend rejects it instead of staging a
-    delta the coordinator already re-issued to the replacement.
-    """
-
-
 def stable_shard_hash(obj: Obj) -> int:
     """A process-independent hash of an object.
 
@@ -259,7 +249,6 @@ class Partitioning:
 __all__ = [
     "Partitioning",
     "ShardingError",
-    "StaleEpochError",
     "WorkerDied",
     "stable_shard_hash",
 ]

@@ -1,10 +1,11 @@
 """The sharded execution service: one store (and one process) per shard.
 
-:class:`ShardedStore` fronts ``N`` shard :class:`VersionedStore`\\ s —
-each with its own WAL and :class:`EngineCache` — plus a *coordinator*
-store holding the full object base.  The coordinator is the logical
-head: its version chain (and WAL) is the authoritative history, the
-differential-test witness, and the one place a batch is evaluated.
+:class:`ShardedStore` fronts ``N`` in-memory shard
+:class:`VersionedStore`\\ s — each with its own :class:`EngineCache` —
+plus a *coordinator* store holding the full object base.  The
+coordinator is the logical head: its version chain is the
+authoritative history, the differential-test witness, and the one
+place a batch is evaluated, and its WAL is the fleet's only log.
 
 **One write route.**  :meth:`ShardedStore.apply_batch` and
 :meth:`ShardedStore.commit_transaction` both publish on the
@@ -18,23 +19,33 @@ reported on the route); the classification no longer picks a path.
 A shard therefore never holds a state the coordinator has not
 committed: each slice (see
 :meth:`~repro.store.sharding.partition.Partitioning.slice_database`)
-is a view of the coordinator log, kept current by replaying it.
+is the coordinator's sequential fold (paper Thm 6.5 / Lemma 6.7)
+restricted to the shard, kept current by replaying the coordinator's
+change sets.  A shard keeps no log of its own.
 
-**One path brings a shard up to date.**  Each shard holds its own
-position in the coordinator log: a per-shard *cursor*, the coordinator
-version the shard is known to reflect, or unknown.  Every caller that
-moves shards forward — the publish step behind both write entry
-points, :meth:`~ShardedStore.resync_shard`, and the bring-up shared by
-:meth:`~ShardedStore.from_wal_dir` and supervisor restarts — goes
-through one advance.  A known cursor stages the shard's slice of each
-missing version in commit order (paper Thm 6.5 / Lemma 6.7 make that
-replay safe); an unknown one gets the verifying dump-diff against the
-head slice; a shard already at or past the target is skipped, so
-staging never walks a shard backwards.  A shard whose staging fails
-drops to unknown, which the next advance heals.  When the publish
-step cannot stage a committed version, it resets every cursor and
-dump-diffs the fleet; the write is acknowledged either way, flagged
-when even that heal fails.
+**One path brings a live shard up to date.**  The coordinator keeps a
+per-shard *cursor*: the coordinator version the shard is known to
+reflect, or unknown.  Every caller that moves live shards forward —
+the publish step behind both write entry points and
+:meth:`~ShardedStore.resync_shard` — goes through one advance.  A
+known cursor stages the shard's slice of each missing version in
+commit order (a version whose slice is empty only moves the cursor);
+an unknown cursor, or a version no longer in the coordinator's
+in-memory chain, gets the verifying dump-diff against the head slice;
+a shard already at or past the target is skipped, so staging never
+walks a shard backwards.  A shard whose staging fails drops to
+unknown, which the next advance heals.  When the publish step cannot
+stage a committed version, it resets every cursor and dump-diffs the
+fleet; the write is acknowledged either way, flagged when even that
+heal fails.
+
+**Every bring-up spawns from the head.**  The constructor,
+:meth:`~ShardedStore.from_wal_dir`, a supervisor restart and the
+re-promotion of a degraded shard all start the shard from a fresh
+slice of the coordinator head, with its cursor at the head.  A dead
+worker shares nothing with its replacement but its own pipe, which
+the supervisor closes, so there is nothing to fence and nothing to
+recover but the coordinator log.
 
 Execution modes: ``inline`` backends run in-process (useful for tests
 and as the degraded fallback), ``process`` backends each own a
@@ -43,27 +54,14 @@ receivers and deltas crossing as pickles.  Dispatch is
 send-to-all-then-collect, so shard work overlaps without any parent
 threads.
 
-**Self-healing** (this layer's fault story, paper Thm 5.12/6.5).
-Shards are replicas of the coordinator log that must be *fencible*
-and *catch-up-able*:
-
-* Every fenced pipe command (``stage`` / ``mark`` / ``checkpoint``)
-  carries the shard's monotone **epoch**; a backend rejects commands
-  from an older epoch with :class:`StaleEpochError` (the zombie guard)
-  and adopts newer ones.  Epochs and the highest *applied* coordinator
-  version persist in the shard WAL as ``shard_meta`` records.
-* A worker death surfaces as :class:`WorkerDied`; the
-  :class:`~repro.store.sharding.supervisor.ShardSupervisor` restarts
-  the process under its full-jitter ``RESTART_POLICY`` + a per-shard
-  breaker and **brings it up**: the shard recovers its own WAL, whose
-  marker seeds the cursor, and the advance stages only the missing
-  tail of coordinator deltas; then the in-flight command is re-issued
-  under the bumped epoch.  Past the restart budget the shard
-  *degrades* to a coordinator-side :class:`InlineShard` so batches
-  keep succeeding; a later breaker probe promotes it back to a real
-  worker.
-* :meth:`from_wal_dir` brings every shard up the same way; the full
-  re-slice survives only for a missing or unrecoverable shard log.
+**Self-healing** (this layer's fault story).  A worker death surfaces
+as :class:`WorkerDied`; the
+:class:`~repro.store.sharding.supervisor.ShardSupervisor` restarts the
+process under its full-jitter ``RESTART_POLICY`` + a per-shard breaker
+by the bring-up above, then re-issues the in-flight command.  Past the
+restart budget the shard *degrades* to a coordinator-side
+:class:`InlineShard` so batches keep succeeding; a later breaker probe
+promotes it back to a real worker.
 
 **Fleet telemetry** (process mode).  Every request crosses the pipe as
 ``(command, ctx)`` where ``ctx`` is ``None`` or a trace context
@@ -93,6 +91,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
+import time
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.graph.instance import Instance
@@ -110,17 +109,12 @@ from repro.resilience.faults import (
 from repro.store.sharding.partition import (
     Partitioning,
     ShardingError,
-    StaleEpochError,
     WorkerDied,
 )
 from repro.store.sharding.router import Route, Router
-from repro.store.sharding.supervisor import (
-    _RESTART_FAILURES,
-    ShardSupervisor,
-)
+from repro.store.sharding.supervisor import ShardSupervisor
 from repro.store.versioned import StoreError, Version, VersionedStore
 from repro.store.txn import run_transaction
-from repro.store.wal import KIND_COMMIT, KIND_SHARD_META, WalError
 
 
 def _delta_rows(changes: Mapping[str, RelationDelta]) -> int:
@@ -131,7 +125,7 @@ def _delta_rows(changes: Mapping[str, RelationDelta]) -> int:
 
 
 class ShardBackend:
-    """One shard's store plus its command interpreter.
+    """One shard's in-memory store plus its command interpreter.
 
     The same interpreter serves both execution modes: in-process for
     :class:`InlineShard`, inside the worker for :class:`ProcessShard`.
@@ -139,162 +133,34 @@ class ShardBackend:
     a pipe is plain picklable data (deltas, row sets) — never a live
     store object.
 
-    A shard commits only coordinator versions: a tail ``stage`` of one
-    version's slice, or a dump-diff staged as the head.  Recovery
-    bookkeeping rides on two fields persisted as ``shard_meta`` WAL
-    records after every fenced command:
-
-    * ``epoch`` — the fence.  Commands stamped with an older epoch are
-      rejected (:class:`StaleEpochError`); newer ones are adopted.
-    * ``applied`` — the highest coordinator version this shard's state
-      is known to reflect, or ``None`` when unknown.  It never runs
-      ahead of the log (a marker is appended *after* its stage), but it
-      may lag it: a crash between a stage and its marker leaves the
-      state one version past the marker.  That lag is safe, because
-      re-staging a normalized delta the shard already holds normalizes
-      to nothing, so a tail replay from a lagging marker lands on the
-      same slice.  Over-reporting would make a tail skip a delta, the
-      one unrecoverable mistake; a torn or unclean log, or one without
-      a marker, therefore recovers as unknown.
+    A shard commits only coordinator versions: a ``stage`` of one
+    version's slice, or of a dump-diff against the head slice.  It
+    keeps no log and no position of its own; the coordinator's cursor
+    says which version it reflects.
     """
 
-    def __init__(
-        self,
-        shard: int,
-        database: Optional[Database],
-        wal: Optional[str] = None,
-        durability: str = "flush",
-        epoch: int = 0,
-        applied: int = 0,
-        recover: bool = False,
-    ) -> None:
+    def __init__(self, shard: int, database: Database) -> None:
         self.shard = shard
-        self.epoch = int(epoch)
-        self.applied: Optional[int] = int(applied)
-        self.recovered = False
-        if recover:
-            self._recover(wal, durability)
-        if not self.recovered:
-            if database is None:
-                raise ShardingError(
-                    f"shard {shard} log {wal!r} is unrecoverable and "
-                    "no slice was provided to rebuild from"
-                )
-            self.store = VersionedStore(
-                database=database, wal=wal, durability=durability
-            )
-        self._persist_meta()
-
-    def _recover(self, wal, durability) -> None:
-        """Best-effort recovery from the shard's own WAL.
-
-        Leaves :attr:`recovered` ``False`` (the caller falls back to a
-        fresh slice) when the log is missing, unreadable, or holds no
-        checkpointed state.  A torn or unclean tail, or a missing meta
-        marker, leaves ``applied`` unknown — the conservative verdict
-        that costs a dump-diff, never divergence.
-        """
-        if wal is None or not os.path.exists(wal):
-            return
-        from repro.store.recovery import RecoveryError, recover
-
-        try:
-            state = recover(wal, truncate=True)
-        except (OSError, RecoveryError, WalError):
-            return
-        if state.database is None:
-            return
-        try:
-            self.store = VersionedStore.from_wal(wal, durability=durability)
-        except (OSError, StoreError, WalError):
-            return
-        self.recovered = True
-        meta = state.shard_meta or {}
-        self.epoch = max(self.epoch, int(meta.get("epoch", 0)))
-        applied = meta.get("applied")
-        self.applied = (
-            int(applied) if applied is not None and state.clean else None
-        )
-
-    # -- the fence and the marker --------------------------------------
-    def _fence(self, epoch: Optional[int], op: str) -> None:
-        fault_point(SHARD_STAGE_FENCE)
-        if epoch is None:
-            return
-        if epoch < self.epoch:
-            global_registry().counter("store.shard.fenced").inc()
-            flight.record(
-                "shard.stage.fence",
-                shard=self.shard,
-                op=op,
-                stale_epoch=epoch,
-                epoch=self.epoch,
-            )
-            raise StaleEpochError(
-                f"shard {self.shard} fenced a stale {op!r}: "
-                f"epoch {epoch} < {self.epoch}"
-            )
-        if epoch > self.epoch:
-            self.epoch = int(epoch)
-            self._persist_meta()
-
-    def _reflects(self, version: int) -> None:
-        """Record that the shard's state reflects coordinator ``version``."""
-        version = int(version)
-        self.applied = (
-            version if self.applied is None else max(self.applied, version)
-        )
-        self._persist_meta()
-
-    def _persist_meta(self) -> None:
-        wal = self.store.wal
-        if wal is None or wal.poisoned:
-            return
-        wal.append(
-            KIND_SHARD_META,
-            self.store.head.version,
-            {"epoch": self.epoch, "applied": self.applied},
-        )
-
-    def status(self) -> Dict[str, Any]:
-        return {
-            "shard": self.shard,
-            "version": self.store.head.version,
-            "epoch": self.epoch,
-            "applied": self.applied,
-            "recovered": self.recovered,
-        }
+        self.store = VersionedStore(database=database)
 
     def handle(self, command: Tuple[Any, ...]) -> Any:
         op = command[0]
         if op == "stage":
-            _, epoch, version_number, changes = command
-            self._fence(epoch, op)
-            result = self.store.commit_changes(changes).version
-            self._reflects(version_number)
-            return result
-        if op == "mark":
-            _, epoch, version_number = command
-            self._fence(epoch, op)
-            self._reflects(version_number)
-            return self.applied
+            fault_point(SHARD_STAGE_FENCE)
+            started = time.perf_counter()
+            version = self.store.commit_changes(command[1]).version
+            global_registry().histogram("store.shard.stage_ms").observe(
+                (time.perf_counter() - started) * 1000.0
+            )
+            return version
         if op == "status":
-            return self.status()
+            return {"shard": self.shard, "version": self.store.head.version}
         if op == "dump":
             database = self.store.head.database
             return {
                 name: database.relation(name).tuples
                 for name in database.relation_names
             }
-        if op == "checkpoint":
-            _, epoch, compact = command
-            self._fence(epoch, op)
-            if self.store.wal is not None:
-                self.store.checkpoint(compact=compact)
-                # compact() drops every record before the checkpoint —
-                # including the last meta marker — so re-stamp it.
-                self._persist_meta()
-            return self.store.head.version
         if op == "close":
             self.store.close()
             return None
@@ -326,25 +192,18 @@ class InlineShard:
 def _shard_worker(
     conn,
     shard: int,
-    database: Optional[Database],
-    wal: Optional[str],
-    durability: str,
+    database: Database,
     flight_path: Optional[str] = None,
-    epoch: int = 0,
-    recover: bool = False,
-    applied: int = 0,
 ) -> None:
     """Worker-process main loop: one backend, envelopes off the pipe.
 
     Runs until a ``close`` command (or EOF from a dying parent).
     Failures are shipped back as ``("error", message, telemetry)``
     rather than killing the worker — the shard stays serviceable and
-    the parent decides whether to resync.  A fenced command rejected by
-    the epoch guard ships as ``("fenced", message, telemetry)`` so the
-    parent can re-raise it typed.  Every reply's telemetry carries this
-    request's spans (when the envelope asked for tracing) and a delta
-    snapshot of the worker's metrics registry; the registry resets
-    after each reply so repeated merges at the coordinator never
+    the parent decides whether to resync.  Every reply's telemetry
+    carries this request's spans (when the envelope asked for tracing)
+    and a delta snapshot of the worker's metrics registry; the registry
+    resets after each reply so repeated merges at the coordinator never
     double-count.  Two sites simulate real worker death (flight ring
     flushed, pipe dropped, no reply): ``shard.worker`` at the top of
     the loop, and a :class:`CrashPoint` escaping the backend — which is
@@ -353,15 +212,7 @@ def _shard_worker(
     backend: Optional[ShardBackend] = None
     backend_error: Optional[str] = None
     try:
-        backend = ShardBackend(
-            shard,
-            database,
-            wal=wal,
-            durability=durability,
-            epoch=epoch,
-            applied=applied,
-            recover=recover,
-        )
+        backend = ShardBackend(shard, database)
     except BaseException as exc:
         backend_error = f"{type(exc).__name__}: {exc}"
     registry = global_registry()
@@ -413,9 +264,6 @@ def _shard_worker(
         except CrashPoint:
             die(command[0])
             return
-        except StaleEpochError as exc:
-            status = "fenced"
-            payload = str(exc)
         except BaseException as exc:  # ship, don't die
             status = "error"
             payload = f"{type(exc).__name__}: {exc}"
@@ -463,14 +311,9 @@ class ProcessShard:
     def __init__(
         self,
         shard: int,
-        database: Optional[Database],
-        wal: Optional[str] = None,
-        durability: str = "flush",
+        database: Database,
         context=None,
         flight_path: Optional[str] = None,
-        epoch: int = 0,
-        recover: bool = False,
-        applied: int = 0,
     ) -> None:
         ctx = context if context is not None else _mp_context()
         self.shard = shard
@@ -479,8 +322,7 @@ class ProcessShard:
         self._conn = parent
         self._process = ctx.Process(
             target=_shard_worker,
-            args=(child, shard, database, wal, durability, flight_path,
-                  epoch, recover, applied),
+            args=(child, shard, database, flight_path),
             daemon=True,
             name=f"repro-shard-{shard}",
         )
@@ -524,8 +366,6 @@ class ProcessShard:
         except EOFError:
             raise self._death("EOF") from None
         self._stitch(telemetry)
-        if status == "fenced":
-            raise StaleEpochError(payload)
         if status == "error":
             raise ShardingError(
                 f"shard {self.shard} failed: {payload}"
@@ -568,7 +408,7 @@ class ProcessShard:
             self._process.join(timeout=5.0)
 
     def reap(self) -> None:
-        """Discard a dead (or deposed) worker without the handshake."""
+        """Discard a dead worker without the handshake."""
         try:
             self._conn.close()
         except OSError:  # pragma: no cover - already closed
@@ -591,7 +431,6 @@ class ShardedStore:
         durability: str = "flush",
         supervised: bool = True,
         _coordinator: Optional[VersionedStore] = None,
-        _bring_up_shards: bool = False,
     ) -> None:
         if mode not in ("inline", "process"):
             raise ShardingError(f"unknown execution mode {mode!r}")
@@ -606,7 +445,6 @@ class ShardedStore:
         self.router = Router(self.partitioning)
         self.mode = mode
         self.wal_dir = wal_dir
-        self.durability = durability
         if wal_dir is not None:
             os.makedirs(wal_dir, exist_ok=True)
         self.coordinator = (
@@ -614,7 +452,11 @@ class ShardedStore:
             if _coordinator is not None
             else VersionedStore(
                 instance=instance,
-                wal=self._wal_path("coordinator"),
+                wal=(
+                    None
+                    if wal_dir is None
+                    else os.path.join(wal_dir, "coordinator.wal")
+                ),
                 durability=durability,
             )
         )
@@ -625,146 +467,51 @@ class ShardedStore:
             self.coordinator.head.version
         ] * shards
         self.supervisor = ShardSupervisor(self, enabled=supervised)
-        self.recovery_report: Dict[int, Dict[str, Any]] = {}
-        self._shards: List[Any] = []
-        for k in range(shards):
-            if _bring_up_shards:
-                handle, mode_used, rows = self._bring_up(k)
-                flight.record(
-                    "shard.recovered", shard=k, mode=mode_used, rows=rows
-                )
-                self.recovery_report[k] = {"mode": mode_used, "rows": rows}
-            else:
-                handle = self._spawn_shard(k, self._slice_of_head(k))
-            self._shards.append(handle)
+        self._shards: List[Any] = [
+            self._spawn_shard(k) for k in range(shards)
+        ]
 
     # -- construction helpers ------------------------------------------
-    def _wal_path(self, name: str) -> Optional[str]:
-        if self.wal_dir is None:
-            return None
-        return os.path.join(self.wal_dir, f"{name}.wal")
-
-    def _spawn_shard(
-        self,
-        shard: int,
-        database: Optional[Database],
-        recover: bool = False,
-        applied: int = 0,
-    ):
-        wal = self._wal_path(f"shard-{shard}")
-        epoch = self.supervisor.epoch(shard)
+    def _spawn_shard(self, shard: int):
+        """A new backend for ``shard``, sliced from the coordinator head."""
+        database = self._slice_of_head(shard)
         if self.mode == "process":
             flight_path = (
                 os.path.join(self.wal_dir, f"flight-shard-{shard}.json")
                 if self.wal_dir is not None
                 else None
             )
-            return ProcessShard(
-                shard,
-                database,
-                wal=wal,
-                durability=self.durability,
-                flight_path=flight_path,
-                epoch=epoch,
-                recover=recover,
-                applied=applied,
-            )
-        return InlineShard(
-            ShardBackend(
-                shard,
-                database,
-                wal=wal,
-                durability=self.durability,
-                epoch=epoch,
-                applied=applied,
-                recover=recover,
-            )
-        )
+            return ProcessShard(shard, database, flight_path=flight_path)
+        return InlineShard(ShardBackend(shard, database))
 
-    def _degraded_shard(self, shard: int, epoch: int) -> InlineShard:
+    def _degraded_shard(self, shard: int) -> InlineShard:
         """The coordinator-side fallback for a shard past its restart
-        budget: an in-process backend sliced from the head (already
-        caught up by construction), no WAL — the on-disk log keeps the
-        dead worker's last state for the eventual real restart to
-        recover and tail-catch-up from."""
-        head = self.coordinator.head.version
-        self._cursors[shard] = head
-        return InlineShard(
-            ShardBackend(
-                shard,
-                self._slice_of_head(shard),
-                wal=None,
-                durability=self.durability,
-                epoch=epoch,
-                applied=head,
-            )
-        )
+        budget: an in-process backend sliced from the head, so its
+        cursor is the head."""
+        self._cursors[shard] = self.coordinator.head.version
+        return InlineShard(ShardBackend(shard, self._slice_of_head(shard)))
 
     def _slice_of_head(self, shard: int) -> Database:
         return self.partitioning.slice_database(
             self.coordinator.head.database, shard
         )
 
-    def _bring_up(self, shard: int) -> Tuple[Any, str, Optional[int]]:
-        """Start a backend for ``shard`` and advance it to the head.
+    def _bring_up(self, shard: int):
+        """Start ``shard`` afresh from the head slice; its cursor is the head.
 
-        Shared by :meth:`from_wal_dir` and the supervisor's restart.
-        The backend recovers the shard's own WAL; its marker seeds the
-        cursor (an unknown marker, or an ``applied`` claim past the
-        head, leaves it unknown) and :meth:`_advance` stages only what
-        is missing.  A missing or unrecoverable log falls back to a fresh
-        slice of the head.  The new handle is used directly — never
-        through the supervisor — so a heal in progress cannot recurse
-        into another heal.  Returns ``(handle, mode, rows)``; on
+        Shared by the supervisor's restart and re-promotion.  The new
+        handle answers one ``status`` before it is returned, so a
+        replacement that cannot start fails the attempt here; on
         failure the handle is reaped and the error re-raises.
         """
-        wal = self._wal_path(f"shard-{shard}")
-        head = self.coordinator.head.version
-        registry = global_registry()
-        handle = None
-        status = None
-        if wal is not None and os.path.exists(wal):
-            try:
-                handle = self._spawn_shard(shard, None, recover=True)
-                status = handle.call(("status",))
-                if not status.get("recovered"):
-                    raise ShardingError(
-                        f"shard {shard} log did not recover"
-                    )
-            except _RESTART_FAILURES:
-                if handle is not None:
-                    self.supervisor.reap(handle)
-                status = None
-        if status is None:
-            # Full re-slice: drop the stale log so the fresh store
-            # seeds a clean one.
-            if wal is not None and os.path.exists(wal):
-                os.remove(wal)
-            handle = self._spawn_shard(
-                shard, self._slice_of_head(shard), applied=head
-            )
-            try:
-                handle.call(("status",))
-            except BaseException:
-                self.supervisor.reap(handle)
-                raise
-            self._cursors[shard] = head
-            registry.counter("store.shard.resyncs.full").inc()
-            return handle, "full", None
-        self.supervisor.adopt(shard, int(status.get("epoch", 0)))
-        applied = status.get("applied")
-        self._cursors[shard] = (
-            applied if applied is not None and applied <= head else None
-        )
+        handle = self._spawn_shard(shard)
         try:
-            mode, rows = self._advance([shard], head, handle=handle)
+            handle.call(("status",))
         except BaseException:
             self.supervisor.reap(handle)
             raise
-        if mode == "tail":
-            registry.counter("store.shard.resyncs.tail").inc()
-            registry.counter("store.shard.catchup_rows").inc(rows)
-        return handle, mode, rows
+        self._cursors[shard] = self.coordinator.head.version
+        return handle
 
     @classmethod
     def from_wal_dir(
@@ -777,18 +524,12 @@ class ShardedStore:
         durability: str = "flush",
         supervised: bool = True,
     ) -> "ShardedStore":
-        """Recover the fleet: coordinator from its log, shards from
-        *theirs*.
+        """Recover the fleet from ``coordinator.wal``, its one log.
 
-        The coordinator log is the authoritative history (versions
-        resume from the recovered head, not from zero).  Each shard is
-        brought up from its own checkpoint+tail and then advanced by
-        staging only the coordinator deltas past its ``applied``
-        marker — the order-independence theorems make that tail replay
-        safe.  An unknown marker gets the verifying dump-diff, and a
-        missing or unrecoverable log the full re-slice.  Per-shard
-        outcomes land in :attr:`recovery_report` as
-        ``{shard: {"mode": "tail" | "full", "rows": ...}}``.
+        The coordinator replays its log (versions resume from the
+        recovered head, not from zero) and every shard is spawned from
+        a fresh slice of that head.  A ``shard-N.wal`` left by an older
+        fleet is neither read nor removed.
         """
         path = os.path.join(wal_dir, "coordinator.wal")
         try:
@@ -809,7 +550,6 @@ class ShardedStore:
             durability=durability,
             supervised=supervised,
             _coordinator=coordinator,
-            _bring_up_shards=True,
         )
 
     # -- the batch entry point -----------------------------------------
@@ -908,39 +648,35 @@ class ShardedStore:
         return version, True
 
     # -- bringing shards up to date ------------------------------------
-    def _advance(
-        self, shards: Iterable[int], target: int, handle=None
-    ) -> Tuple[str, int]:
+    def _advance(self, shards: Iterable[int], target: int) -> Tuple[str, int]:
         """Move ``shards`` to coordinator version ``target``.
 
-        The one path that brings a shard up to date; caller holds the
-        lock (or is constructing).  By each shard's cursor:
+        The one path that brings a live shard up to date; caller holds
+        the lock.  By each shard's cursor:
 
         * **at or past** ``target`` — skipped;
         * **known** — stage the shard's slice of each missing version in
           commit order, one send-to-all-then-collect broadcast per
-          version, with a ``mark`` only when the last slice is empty;
-        * **unknown**, or versions no longer available — the verifying
-          dump-diff against the head slice.
+          version; a version whose slice is empty only moves the cursor;
+        * **unknown**, or versions no longer in the coordinator's
+          chain — the verifying dump-diff against the head slice.
 
         Failures are contained: every shard is attempted, a failed
         shard's cursor becomes unknown, and the first error re-raises
-        at the end.  ``handle`` (bring-up only) is the one shard's new
-        handle, called directly.  Returns ``(mode, rows)``: ``"full"``
-        when any shard took the dump-diff, and the rows shipped.
+        at the end.  Returns ``(mode, rows)``: ``"full"`` when any
+        shard took the dump-diff, and the rows shipped.
         """
         cursors = self._cursors
         errors: List[Exception] = []
 
         def send(number: int, slices: Dict[int, Dict[str, RelationDelta]]):
             def command(shard: int) -> Tuple[Any, ...]:
-                epoch = self.supervisor.epoch(shard)
                 cursor = cursors[shard]
-                # A heal mid-advance may already have moved the shard
-                # past ``number``; the redo then only re-marks it.
-                if slices[shard] and (cursor is None or cursor < number):
-                    return ("stage", epoch, number, slices[shard])
-                return ("mark", epoch, number)
+                # A heal mid-advance spawns the shard from the head, past
+                # ``number``; the redo then only checks that it answers.
+                if cursor is None or cursor < number:
+                    return ("stage", slices[shard])
+                return ("status",)
 
             def landed(shard: int, _reply: Any) -> None:
                 cursor = cursors[shard]
@@ -951,18 +687,11 @@ class ShardedStore:
             for shard in slices:
                 cursors[shard] = None  # unknown until the reply lands
             try:
-                if handle is None:
-                    self.supervisor.broadcast(
-                        {
-                            shard: (lambda s=shard: command(s))
-                            for shard in slices
-                        },
-                        span_name="store.shard.stage",
-                        on_reply=landed,
-                    )
-                else:
-                    for shard in slices:
-                        landed(shard, handle.call(command(shard)))
+                self.supervisor.broadcast(
+                    {shard: (lambda s=shard: command(s)) for shard in slices},
+                    span_name="store.shard.stage",
+                    on_reply=landed,
+                )
             except Exception as exc:
                 errors.append(exc)
 
@@ -987,9 +716,11 @@ class ShardedStore:
                     continue
                 payload = dict(replicated)
                 payload.update(per_shard.get(shard, {}))
-                if payload or number == target:
+                if payload:
                     slices[shard] = payload
                     rows += _delta_rows(payload)
+                else:
+                    cursors[shard] = number
             if slices:
                 send(number, slices)
         head = self.coordinator.head.version
@@ -998,11 +729,7 @@ class ShardedStore:
                 continue
             try:
                 target_db = self._slice_of_head(shard)
-                current = (
-                    handle.call(("dump",))
-                    if handle is not None
-                    else self.supervisor.call(shard, lambda: ("dump",))
-                )
+                current = self.supervisor.call(shard, lambda: ("dump",))
             except Exception as exc:
                 errors.append(exc)
                 continue
@@ -1013,7 +740,10 @@ class ShardedStore:
                 if want != have:
                     delta[name] = RelationDelta(want - have, have - want)
             rows += _delta_rows(delta)
-            send(head, {shard: delta})
+            if delta:
+                send(head, {shard: delta})
+            else:
+                cursors[shard] = head
             if cursors[shard] is not None:
                 global_registry().counter("store.shard.resyncs.full").inc()
         if errors:
@@ -1024,12 +754,9 @@ class ShardedStore:
         self, after: int, through: int
     ) -> Optional[List[Tuple[int, Mapping[str, RelationDelta]]]]:
         """Coordinator change sets of versions ``after+1 .. through``, in
-        commit order: from the in-memory chain, else from the
-        coordinator WAL (a store recovered with ``from_wal`` keeps no
-        chain).  ``None`` when neither holds them all — pruned from
-        memory and compacted out of the log.
+        commit order, from the in-memory chain; ``None`` when it does
+        not hold them all (pruned, or older than a recovered root).
         """
-        wanted = list(range(after + 1, through + 1))
         chain = [
             (entry.version, entry.changes)
             for entry in self.coordinator.versions_after(after)
@@ -1039,28 +766,11 @@ class ShardedStore:
             and isinstance(entry, Version)
             and entry.changes
         ]
-        if [number for number, _ in chain] == wanted:
-            return chain
-        path = self._wal_path("coordinator")
-        if path is None or not os.path.exists(path):
+        if [number for number, _ in chain] != list(
+            range(after + 1, through + 1)
+        ):
             return None
-        from repro.store.recovery import scan_wal
-
-        if self.coordinator.wal is not None:
-            try:
-                self.coordinator.wal.size_bytes()  # flush buffered tail
-            except (OSError, ValueError):
-                return None
-        records, _, _ = scan_wal(path)
-        commits = {
-            record.version: record.changes
-            for record in records
-            if record.kind == KIND_COMMIT
-            and after < record.version <= through
-        }
-        if sorted(commits) != wanted:
-            return None
-        return [(number, commits[number]) for number in wanted]
+        return chain
 
     # -- consistency and repair ----------------------------------------
     def resync_shard(self, shard: int, mode: str = "auto") -> str:
@@ -1068,43 +778,30 @@ class ShardedStore:
 
         ``mode="tail"`` demands the incremental catch-up (raises when
         unavailable); ``"full"`` forces the verifying dump-diff;
-        ``"auto"`` picks the tail only when the shard's recovery marker
-        is known and strictly behind the head.  Returns the mode used.
+        ``"auto"`` takes the tail only when the shard's cursor is known
+        and strictly behind the head.  Returns the mode used.
         """
         if mode not in ("auto", "tail", "full"):
             raise ShardingError(f"unknown resync mode {mode!r}")
         registry = global_registry()
         with self._lock:
             head = self.coordinator.head.version
-            cursor = None
-            if mode != "full":
-                try:
-                    status = self.supervisor.call(
-                        shard, lambda: ("status",)
-                    )
-                except ShardingError:
-                    status = None
-                applied = None if status is None else status.get("applied")
-                # "auto" takes the tail only when lag *explains* the
-                # need to resync (marker known and behind the head); a
-                # shard that claims to be current yet needs healing is
-                # corrupt in a way the marker cannot see, so it gets
-                # the verifying dump-diff.  A *demanded* tail still
-                # requires a known marker.
-                if (
-                    applied is not None
-                    and applied <= head
-                    and (mode == "tail" or applied < head)
-                ):
-                    cursor = applied
-                if mode == "tail" and (
-                    cursor is None
-                    or self._versions_between(cursor, head) is None
-                ):
-                    raise ShardingError(
-                        f"shard {shard} tail resync unavailable "
-                        "(unknown marker, divergence, or pruned history)"
-                    )
+            cursor = self._cursors[shard]
+            # "auto" takes the tail only when lag *explains* the need to
+            # resync (cursor known and behind the head); a shard that is
+            # current yet needs healing is corrupt in a way the cursor
+            # cannot see, so it gets the verifying dump-diff.  A
+            # *demanded* tail still requires a known cursor.
+            if mode == "full" or (mode == "auto" and cursor == head):
+                cursor = None
+            if mode == "tail" and (
+                cursor is None
+                or self._versions_between(cursor, head) is None
+            ):
+                raise ShardingError(
+                    f"shard {shard} tail resync unavailable "
+                    "(unknown cursor or pruned history)"
+                )
             self._cursors[shard] = cursor
             used, rows = self._advance([shard], head)
         registry.counter("store.shard.resyncs").inc()
@@ -1172,41 +869,14 @@ class ShardedStore:
                 )
 
     def checkpoint(self, compact: bool = False) -> None:
-        """Checkpoint the coordinator and every shard WAL."""
+        """Checkpoint the coordinator WAL, the fleet's one log."""
         with self._lock:
             if self.coordinator.wal is not None:
                 self.coordinator.checkpoint(compact=compact)
-            commands = {
-                shard_obj.shard: (
-                    lambda s=shard_obj.shard: (
-                        "checkpoint",
-                        self.supervisor.epoch(s),
-                        compact,
-                    )
-                )
-                for shard_obj in self._shards
-            }
-            self.supervisor.broadcast(commands)
 
     def close(self) -> None:
         with self._lock:
             for shard_obj in self._shards:
-                # Final marker: a shard whose cursor is known records
-                # that it reflects that version, so the next open
-                # recovers with a clean (tail-capable) log.  An unknown
-                # cursor leaves the shard's own marker to decide.
-                cursor = self._cursors[shard_obj.shard]
-                if cursor is not None:
-                    try:
-                        shard_obj.call(
-                            (
-                                "mark",
-                                self.supervisor.epoch(shard_obj.shard),
-                                cursor,
-                            )
-                        )
-                    except Exception:
-                        pass
                 shard_obj.close()
             self.coordinator.close()
 

@@ -1,4 +1,4 @@
-"""Supervised shard workers: detect death, restart, catch up, degrade.
+"""Supervised shard workers: detect death, restart, degrade, probe.
 
 :class:`ShardSupervisor` is the healing ladder of the sharded store —
 each rung engaged only when the one above fails:
@@ -6,39 +6,34 @@ each rung engaged only when the one above fails:
 1. **detect** — a :class:`WorkerDied` (pipe EOF / EPIPE) or an injected
    :class:`~repro.resilience.faults.CrashPoint` surfacing from a shard
    handle marks the worker dead mid-conversation;
-2. **fence** — every restart bumps the shard's monotone epoch, so
-   anything a deposed worker half-did (or might still do) is rejected
-   by the epoch guard in the backend rather than racing the
-   replacement;
-3. **restart** — the replacement process recovers the shard's *own*
-   WAL under the full-jitter :data:`RESTART_POLICY`, gated by a
-   per-shard :class:`CircuitBreaker` so a persistently crashing shard
-   cannot stall every batch with futile forks;
-4. **catch up** — the store's bring-up (:meth:`ShardedStore._bring_up`,
-   shared with ``from_wal_dir``) seeds the shard's cursor from its
-   recovered ``applied`` marker, and the cursor advance stages only
-   the *tail* of coordinator deltas past it; order-independence (paper
-   Thm 5.12/6.5) is what makes replaying that tail safe, and a marker
-   that lags the shard's log is safe too, because re-staging a delta
-   the shard already holds normalizes to nothing;
-5. **full resync** — a torn or unclean log, or one without a marker,
-   leaves the cursor unknown, so the same advance runs the verifying
-   dump-diff against the coordinator head; an unrecoverable log is
-   re-sliced from the head;
-6. **degrade** — past the restart budget the shard is served by a
+2. **restart** — the dead worker is reaped (its pipe closed, so it can
+   reach nothing) and the store's bring-up
+   (:meth:`ShardedStore._bring_up`) spawns a replacement from a fresh
+   slice of the coordinator head, with the shard's cursor at the head,
+   under the full-jitter :data:`RESTART_POLICY`, gated by a per-shard
+   :class:`CircuitBreaker` so a persistently crashing shard cannot
+   stall every batch with futile forks;
+3. **degrade** — past the restart budget the shard is served by a
    coordinator-side :class:`InlineShard` sliced from the head, so
-   callers keep committing; the breaker's half-open probe (or
-   :meth:`ShardedStore.heal`) later re-promotes it to a real worker —
-   return to full service needs no operator call.
+   callers keep committing;
+4. **probe** — the breaker's half-open probe (or
+   :meth:`ShardedStore.heal`) later re-promotes a degraded shard to a
+   real worker by the same bring-up — return to full service needs no
+   operator call.
+
+A live shard that falls behind or diverges is not this ladder's
+business: the store's cursor advance (:meth:`ShardedStore.resync_shard`
+and the publish step) stages the missing tail or runs the verifying
+dump-diff.
 
 The supervisor holds no lock of its own: every entry point is reached
 with the store's lock already held (or during construction, before the
-store is shared), so shard handles, epochs, and states never race.
-The in-flight command that detected the death is re-executed on the
-healed handle under the new epoch.  Shards only ever stage committed
-coordinator versions, so a redo cannot apply anything twice: the
-cursor makes a staging redo re-mark a shard the heal already moved
-past that version instead of re-staging it.
+store is shared), so shard handles and states never race.  The
+in-flight command that detected the death is re-executed on the healed
+handle.  Shards only ever stage committed coordinator versions, so a
+redo cannot apply anything twice: a staging redo finds the cursor at
+the head the replacement was spawned from, and only asks the new
+worker for its status.
 """
 
 from __future__ import annotations
@@ -101,7 +96,6 @@ class ShardSupervisor:
         self.enabled = enabled
         self._rng = random.Random()
         shards = store.partitioning.shards
-        self._epochs: List[int] = [0] * shards
         self._states: List[str] = [UP] * shards
         self.restarts: List[int] = [0] * shards
         self._breakers: List[CircuitBreaker] = [
@@ -114,15 +108,8 @@ class ShardSupervisor:
         ]
 
     # -- introspection -------------------------------------------------
-    def epoch(self, shard: int) -> int:
-        return self._epochs[shard]
-
     def state(self, shard: int) -> str:
         return self._states[shard]
-
-    def adopt(self, shard: int, epoch: int) -> None:
-        """Raise a shard's epoch floor (e.g. from a recovered WAL)."""
-        self._epochs[shard] = max(self._epochs[shard], int(epoch))
 
     def degraded_shards(self) -> Tuple[int, ...]:
         return tuple(
@@ -133,7 +120,7 @@ class ShardSupervisor:
 
     @staticmethod
     def reap(handle) -> None:
-        """Discard a dead/deposed handle (no-op for inline backends)."""
+        """Discard a dead handle (no-op for inline backends)."""
         reaper = getattr(handle, "reap", None)
         if reaper is not None:
             reaper()
@@ -142,8 +129,8 @@ class ShardSupervisor:
     def call(self, shard: int, make_command: Callable[[], tuple]) -> Any:
         """Execute one command on ``shard``, healing through a death.
 
-        ``make_command`` is a thunk, not a tuple, because a heal bumps
-        the epoch — the redo must stamp the *new* one.
+        ``make_command`` is a thunk, not a tuple, because a heal moves
+        the shard's cursor, which decides what the redo sends.
         """
         self.probe(shard)
         try:
@@ -175,7 +162,6 @@ class ShardSupervisor:
         self,
         commands: Dict[int, Callable[[], tuple]],
         span_name: Optional[str] = None,
-        span_attrs: Optional[Callable[[int], Dict[str, Any]]] = None,
         on_reply: Optional[Callable[[int, Any], None]] = None,
     ) -> Dict[int, Any]:
         """Send-to-all-then-collect across shard handles, with healing.
@@ -210,12 +196,7 @@ class ShardSupervisor:
                 sent.append(shard)
         for shard in sent:
             span = (
-                trace.span(
-                    span_name,
-                    category="store",
-                    shard=shard,
-                    **(span_attrs(shard) if span_attrs else {}),
-                )
+                trace.span(span_name, category="store", shard=shard)
                 if span_name is not None
                 else contextlib.nullcontext()
             )
@@ -252,38 +233,14 @@ class ShardSupervisor:
         """
         if not self.enabled:
             raise exc
-        registry = global_registry()
         breaker = self._breakers[shard]
         attempt = 0
         while attempt <= RESTART_POLICY.retries and breaker.allow():
             if attempt > 0:
                 time.sleep(RESTART_POLICY.delay(attempt - 1, self._rng))
-            try:
-                fault_point(SHARD_RESTART)
-                mode, rows = self._restart(shard)
-            except _RESTART_FAILURES as failure:
-                breaker.record_failure()
-                registry.counter("store.shard.restart_failures").inc()
-                flight.record(
-                    "shard.restart_failed",
-                    shard=shard,
-                    attempt=attempt,
-                    error=f"{type(failure).__name__}: {failure}",
-                )
-                attempt += 1
-                continue
-            breaker.record_success()
-            self.restarts[shard] += 1
-            registry.counter("store.shard.restarts").inc()
-            flight.record(
-                "shard.worker_restart",
-                shard=shard,
-                attempt=attempt,
-                epoch=self._epochs[shard],
-                mode=mode,
-                rows=rows,
-            )
-            return
+            if self._restart(shard, attempt=attempt):
+                return
+            attempt += 1
         self._degrade(shard)
 
     def probe(self, shard: int, force: bool = False) -> None:
@@ -297,61 +254,50 @@ class ShardSupervisor:
         """
         if not self.enabled or self._states[shard] != DEGRADED:
             return
+        if force or self._breakers[shard].allow():
+            self._restart(shard, probe=True)
+
+    def _restart(self, shard: int, **event: Any) -> bool:
+        """One restart attempt: reap the old handle, then the store's
+        bring-up, behind the ``shard.restart`` fault site.
+
+        The outcome feeds the shard's breaker, the restart counters and
+        the flight recorder (``event`` tags the record).  Returns
+        whether the replacement is serving; a failed replacement is
+        left reaped.
+        """
+        store = self.store
         breaker = self._breakers[shard]
-        if not force and not breaker.allow():
-            return
         registry = global_registry()
         try:
             fault_point(SHARD_RESTART)
-            mode, rows = self._restart(shard)
+            self.reap(store._shards[shard])
+            store._shards[shard] = store._bring_up(shard)
         except _RESTART_FAILURES as failure:
             breaker.record_failure()
             registry.counter("store.shard.restart_failures").inc()
             flight.record(
                 "shard.restart_failed",
                 shard=shard,
-                probe=True,
                 error=f"{type(failure).__name__}: {failure}",
+                **event,
             )
-            return
+            return False
+        self._states[shard] = UP
         breaker.record_success()
         self.restarts[shard] += 1
         registry.counter("store.shard.restarts").inc()
-        flight.record(
-            "shard.worker_restart",
-            shard=shard,
-            probe=True,
-            epoch=self._epochs[shard],
-            mode=mode,
-            rows=rows,
-        )
-
-    def _restart(self, shard: int) -> Tuple[str, Optional[int]]:
-        """One restart attempt: fence, then the store's bring-up.
-
-        Returns the bring-up outcome ``(mode, rows)``; raises one of
-        ``_RESTART_FAILURES`` when the attempt fails (replacement left
-        reaped, epoch bump kept — monotonicity is what fences any
-        half-started predecessor).
-        """
-        store = self.store
-        self.reap(store._shards[shard])
-        self._epochs[shard] += 1
-        handle, mode, rows = store._bring_up(shard)
-        store._shards[shard] = handle
-        self._states[shard] = UP
-        return mode, rows
+        flight.record("shard.worker_restart", shard=shard, **event)
+        return True
 
     def _degrade(self, shard: int) -> None:
         """Swap a dead shard for the coordinator-side inline fallback."""
         store = self.store
         self.reap(store._shards[shard])
-        new_epoch = self._epochs[shard] + 1
-        self._epochs[shard] = new_epoch
-        store._shards[shard] = store._degraded_shard(shard, new_epoch)
+        store._shards[shard] = store._degraded_shard(shard)
         self._states[shard] = DEGRADED
         global_registry().counter("store.shard.degraded").inc()
-        flight.record("shard.degraded", shard=shard, epoch=new_epoch)
+        flight.record("shard.degraded", shard=shard)
 
 
 __all__ = ["DEGRADED", "UP", "ShardSupervisor"]

@@ -65,13 +65,6 @@ DURABILITY_MODES = ("lazy", "flush", "fsync")
 #: Record kinds the replay machinery understands.
 KIND_COMMIT = "commit"
 KIND_CHECKPOINT = "checkpoint"
-#: Shard-local recovery marker: ``{"epoch": e, "applied": v}`` appended
-#: by a shard backend after every fenced command (``v`` is ``None`` while
-#: the shard's position is unknown).  Replay skips it (non-commit kinds
-#: after the checkpoint are ignored); recovery surfaces the *last* one as
-#: :attr:`RecoveredState.shard_meta` so a restarted shard knows which
-#: coordinator version it reflects.
-KIND_SHARD_META = "shard_meta"
 
 
 class WalError(ValueError):

@@ -96,12 +96,9 @@ def test_batch_on_two_process_store_stitches_one_trace_tree(tmp_path):
     assert len(worker_pids) == 2
     assert os.getpid() not in worker_pids
     # Worker-side request spans carry the wire context and real work:
-    # shards only stage committed versions (or mark an empty slice).
+    # shards only stage committed versions.
     handles = [s for s in remote if s.name == "shard.handle"]
-    assert handles and all(
-        s.args["op"] in ("stage", "mark") for s in handles
-    )
-    assert any(s.args["op"] == "stage" for s in handles)
+    assert handles and all(s.args["op"] == "stage" for s in handles)
     # The propagated trace id reached the workers' root spans.
     assert all(
         s.parent is not None and s.parent.pid is None
@@ -154,14 +151,12 @@ def test_worker_spans_share_the_coordinator_timeline(tmp_path):
 @fork_only
 def test_shard_metrics_merge_under_prefixes_with_percentiles(tmp_path):
     instance, receivers = sharded_company(n_employees=24, seed=3)
-    # fsync logs, so every worker's stages feed a latency histogram.
     store = ShardedStore(
         instance,
         ["Employee"],
         shards=2,
         mode="process",
         wal_dir=str(tmp_path / "fleet"),
-        durability="fsync",
     )
     registry = global_registry()
     before = registry.counters().get("shard0.store.commits", 0)
@@ -176,8 +171,9 @@ def test_shard_metrics_merge_under_prefixes_with_percentiles(tmp_path):
     assert counters["shard0.store.commits"] > before
     assert "shard1.store.commits" in counters
     histograms = registry.histograms()
+    # Every worker's stages feed its stage-latency histogram.
     for shard in (0, 1):
-        summary = histograms[f"shard{shard}.store.wal.fsync_ms"]
+        summary = histograms[f"shard{shard}.store.shard.stage_ms"]
         assert summary["count"] > 0
         percentiles = summary["percentiles"]
         assert percentiles["p50"] is not None
@@ -185,8 +181,8 @@ def test_shard_metrics_merge_under_prefixes_with_percentiles(tmp_path):
     # The merged registry lands in the metrics-JSON document CI ships.
     document = metrics_dump({"fleet.run": 1.0}, registry=registry)
     exported = document["metrics"]["histograms"]
-    assert "shard0.store.wal.fsync_ms" in exported
-    assert "shard1.store.wal.fsync_ms" in exported
+    assert "shard0.store.shard.stage_ms" in exported
+    assert "shard1.store.shard.stage_ms" in exported
 
 
 @fork_only

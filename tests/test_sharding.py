@@ -11,6 +11,7 @@ shard count.
 import multiprocessing
 import os
 import random
+import signal
 import time
 
 import pytest
@@ -40,18 +41,15 @@ from repro.sqlsim.scenarios import (
     scenario_c_method,
 )
 from repro.store import ShardedStore, ShardingError, VersionedStore
-from repro.store.recovery import recover
 from repro.store.sharding import (
     CROSS_SHARD,
     DISJOINT,
     Partitioning,
     ProcessShard,
     Router,
-    StaleEpochError,
     WorkerDied,
     stable_shard_hash,
 )
-from repro.store.wal import KIND_COMMIT, KIND_SHARD_META, parse_record
 from repro.workloads.sharded import (
     mixed_batches,
     raise_batches,
@@ -370,8 +368,6 @@ def test_resync_heals_a_diverged_shard():
         store._shards[0].call(
             (
                 "stage",
-                store.supervisor.epoch(0),
-                store.coordinator.head.version,
                 {
                     "Employee.salary": RelationDelta(
                         deleted=frozenset({victim})
@@ -512,21 +508,24 @@ RAISE_ON_SHARD_1 = [Receiver([Obj("Employee", 2), Obj("Money", 2000)])]
 def stage_to_shard_1_fails(wal_dir=None):
     """A committed (B') raise whose staging to its owner, shard 1,
     fails twice: once on the stage itself and once on the heal that
-    follows — so the commit reports ``staged=False``."""
+    follows — so the commit reports ``staged=False``.  Shard 0's slice
+    of the version is empty, so only shard 1 is ever sent a stage: its
+    tail stage is the first crossing of the site, its dump-diff stage
+    the second."""
     instance, _ = sharded_company(n_employees=16, seed=4)
     store = ShardedStore(instance, ["Employee"], shards=2, wal_dir=wal_dir)
     assert store.partitioning.shard_of_receiver(RAISE_ON_SHARD_1[0]) == 1
     plan = (
         FaultPlan(seed=1)
+        .error_at(SHARD_STAGE_FENCE, at=0)
         .error_at(SHARD_STAGE_FENCE, at=1)
-        .error_at(SHARD_STAGE_FENCE, at=3)
     )
     txn = store.coordinator.begin()
     txn.apply_method(scenario_b_method(), RAISE_ON_SHARD_1)
     with plan.installed():
         version, staged = store.commit_transaction(txn)
     assert version.version == 1 and not staged
-    assert [firing.hit for firing in plan.firings] == [1, 3]
+    assert [firing.hit for firing in plan.firings] == [0, 1]
     return instance, store
 
 
@@ -552,9 +551,9 @@ def test_disjoint_batch_after_a_failed_stage_is_not_lost():
 
 
 def test_close_does_not_stamp_an_unstaged_version(tmp_path):
-    """``close`` may mark a shard only with a version it is known to
-    reflect; otherwise the reopened fleet tail-replays nothing and
-    serves the stale slice."""
+    """A fleet closed right after a commit it could not stage reopens on
+    the committed state, never on the stale slice: the reopen spawns
+    every shard from the recovered coordinator head."""
     wal_dir = str(tmp_path / "fleet")
     instance, store = stage_to_shard_1_fails(wal_dir)
     store.close()
@@ -562,11 +561,10 @@ def test_close_does_not_stamp_an_unstaged_version(tmp_path):
         wal_dir, employee_object_schema(), ["Employee"], shards=2
     )
     try:
-        assert recovered.recovery_report[1]["mode"] == "tail"
-        assert recovered.recovery_report[1]["rows"] > 0
         reference = unsharded_fold(
             [(scenario_b_method(), RAISE_ON_SHARD_1)], instance
         )
+        assert recovered.coordinator.head.version == 1
         assert recovered.coordinator.head.database.fingerprints() == (
             fingerprints(reference)
         )
@@ -692,7 +690,7 @@ def test_from_wal_dir_recovers_the_coordinator_history(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Self-healing fleet: chaos schedules, fencing, incremental recovery
+# Self-healing fleet: chaos schedules, restarts, recovery
 # ----------------------------------------------------------------------
 def chaos_workload(n_employees=16, rounds=5, batch_size=5):
     """A seeded mixed stream, reproducible from ``CHAOS_SEED``."""
@@ -806,10 +804,10 @@ def test_worker_kill_at_every_pipe_command_heals_transparently(
 
 @fork_only
 def test_worker_kill_mid_staging_is_unchanged_or_fully_applied(tmp_path):
-    """Kill-mid-staging schedule: workers die *inside* the epoch fence
-    while holding a stage or mark command.  The durable coordinator
-    commit decides; the healed shard replays only what the marker says
-    is missing, so no schedule can half-apply a batch."""
+    """Kill-mid-staging schedule: each worker dies at the top of its
+    third stage, holding a committed version's slice.  The durable
+    coordinator commit decides; the replacement is spawned from the
+    head slice, so no schedule can half-apply a batch."""
     instance, receivers, batches = chaos_workload()
     deaths_before = counter_value("store.shard.worker_deaths")
     plan = FaultPlan(seed=CHAOS_SEED).kill_at(SHARD_STAGE_FENCE, at=2)
@@ -899,52 +897,8 @@ def test_restart_exhaustion_degrades_then_repromotes(tmp_path):
         store.close()
 
 
-def test_stale_epoch_commands_are_fenced():
-    """A command stamped with an older epoch is rejected before it can
-    touch shard state — the fence that stops a deposed worker's
-    half-finished conversation from racing its replacement."""
-    instance, receivers = sharded_company(n_employees=16, seed=3)
-    store = ShardedStore(instance, ["Employee"], shards=2)
-    try:
-        store.apply_batch(scenario_b_method(), receivers)
-        fenced_before = counter_value("store.shard.fenced")
-        events_before = len(
-            flight.active().events("shard.stage.fence")
-        )
-        handle = store._shards[0]
-        # A newer epoch deposes the current one...
-        handle.call(("mark", store.supervisor.epoch(0) + 1, 0))
-        # ...so the old epoch's write bounces off the fence.
-        with pytest.raises(StaleEpochError):
-            handle.call(
-                (
-                    "stage",
-                    store.supervisor.epoch(0),
-                    store.coordinator.head.version,
-                    {
-                        "Employee.salary": RelationDelta(
-                            deleted=frozenset(
-                                handle.call(("dump",))[
-                                    "Employee.salary"
-                                ]
-                            )
-                        )
-                    },
-                )
-            )
-        assert counter_value("store.shard.fenced") == fenced_before + 1
-        assert (
-            len(flight.active().events("shard.stage.fence"))
-            > events_before
-        )
-        # The fence fired before any mutation: still consistent.
-        store.verify_consistent()
-    finally:
-        store.close()
-
-
 def test_resync_mode_is_tail_for_clean_behind_shards(tmp_path):
-    """A shard with a known marker catches up by staging only the
+    """A shard with a known cursor catches up by staging only the
     missing tail of coordinator deltas, and a shard already at the head
     takes an empty tail; a demanded full resync takes the verifying
     dump-diff."""
@@ -957,7 +911,7 @@ def test_resync_mode_is_tail_for_clean_behind_shards(tmp_path):
     )
     method = scenario_b_method()
     try:
-        # Staging leaves every shard's marker at the head.
+        # Staging leaves every shard's cursor at the head.
         employees = sorted(
             obj for obj in instance.nodes if obj.cls == "Employee"
         )
@@ -1011,9 +965,9 @@ def test_redo_after_a_mid_advance_heal_does_not_restage(
     tmp_path, monkeypatch
 ):
     """A worker that died is found on the first of several missing
-    versions and healed to the head by its bring-up; the redone command
-    then only re-marks it, and the later versions skip it — no older
-    delta is staged over the newer state."""
+    versions and spawned afresh from the head slice; the redone command
+    then only asks the new worker for its status, and the later
+    versions skip it — no delta is staged over the head state."""
     instance, receivers = sharded_company(n_employees=16, seed=5)
     store = ShardedStore(
         instance,
@@ -1030,16 +984,11 @@ def test_redo_after_a_mid_advance_heal_does_not_restage(
         txn = store.coordinator.begin()
         txn.apply_method(method, [receiver])
         txn.commit()
-    # Workers build their backend asynchronously; one round trip makes
-    # sure shard 0 has checkpointed its slice before it is killed.  A
-    # worker killed before its first checkpoint is re-sliced by design
-    # (no tail stages), which this test is not about.
-    store._shards[0].call(("status",))
     sent = []
     send = ProcessShard.send
 
     def recording(handle, command):
-        sent.append((handle.shard, command[0], command[2:3]))
+        sent.append((handle.shard, command[0]))
         send(handle, command)
 
     monkeypatch.setattr(ProcessShard, "send", recording)
@@ -1050,14 +999,18 @@ def test_redo_after_a_mid_advance_heal_does_not_restage(
         # An empty commit publishes nothing and advances every shard.
         store.commit_transaction(store.coordinator.begin())
         assert store.supervisor.restarts[0] == 1
-        # The stage of version 1 that found the dead worker, then the
-        # bring-up's tail.
-        stages = [
-            version
-            for shard, op, version in sent
-            if shard == 0 and op == "stage"
+        # The stage of version 1 found the dead worker; the bring-up
+        # and the redo each asked the replacement for its status.
+        assert [op for shard, op in sent if shard == 0] == [
+            "stage",
+            "status",
+            "status",
         ]
-        assert stages == [(1,), (1,), (2,), (3,)]
+        head_slice = store._slice_of_head(0)
+        assert store._shards[0].call(("dump",)) == {
+            name: head_slice.relation(name).tuples
+            for name in head_slice.relation_names
+        }
         store.verify_consistent()
     finally:
         store.close()
@@ -1113,9 +1066,11 @@ def test_merged_relations_heals_a_down_shard(tmp_path):
 
 
 def test_from_wal_dir_recovery_is_per_shard_tail(tmp_path):
-    """Reopening a cleanly closed fleet recovers every shard from its
-    *own* log and catches up by tail — zero full re-slices — while a
-    missing log falls back to a full slice for that shard only."""
+    """Reopening a fleet spawns every shard from a fresh slice of the
+    recovered coordinator head, with its cursor at the head: the only
+    log recovered is the coordinator's, a shard log left by an older
+    fleet is neither read nor removed, and no shard counts as a full
+    re-slice."""
     wal_dir = str(tmp_path / "fleet")
     instance, receivers, batches = chaos_workload(rounds=4)
     store = ShardedStore(
@@ -1127,112 +1082,92 @@ def test_from_wal_dir_recovery_is_per_shard_tail(tmp_path):
         head = store.coordinator.head.database.fingerprints()
     finally:
         store.close()
+    assert os.listdir(wal_dir) == ["coordinator.wal"]
+    stale = os.path.join(wal_dir, "shard-0.wal")
+    with open(stale, "wb") as handle:
+        handle.write(b'{"torn')
 
     full_before = counter_value("store.shard.resyncs.full")
+    runs_before = counter_value("store.recovery.runs")
     recovered = ShardedStore.from_wal_dir(
         wal_dir, employee_object_schema(), ["Employee"], shards=2
     )
     try:
-        assert all(
-            report["mode"] == "tail"
-            for report in recovered.recovery_report.values()
-        )
+        assert counter_value("store.recovery.runs") == runs_before + 1
         assert (
             counter_value("store.shard.resyncs.full") == full_before
         )
+        version = recovered.coordinator.head.version
+        assert recovered._cursors == [version, version]
+        for k in range(2):
+            head_slice = recovered._slice_of_head(k)
+            assert recovered._shards[k].call(("dump",)) == {
+                name: head_slice.relation(name).tuples
+                for name in head_slice.relation_names
+            }
         assert (
             recovered.coordinator.head.database.fingerprints() == head
         )
         recovered.verify_consistent()
     finally:
         recovered.close()
+    assert sorted(os.listdir(wal_dir)) == ["coordinator.wal", "shard-0.wal"]
+    with open(stale, "rb") as handle:
+        assert handle.read() == b'{"torn'
 
-    # A lost shard log cannot be tail-replayed: that shard (and only
-    # that shard) re-slices from the recovered head.
-    os.remove(os.path.join(wal_dir, "shard-0.wal"))
-    resliced = ShardedStore.from_wal_dir(
-        wal_dir, employee_object_schema(), ["Employee"], shards=2
+
+@fork_only
+def test_reopen_after_sigkill_of_every_worker_equals_the_fold(tmp_path):
+    """One durable log: SIGKILL every worker of a process fleet, with no
+    ``close()``, and reopen the directory.  The head is the unsharded
+    fold of the acknowledged batches, the fleet reassembles to it, and
+    the directory holds the coordinator log and no shard log."""
+    wal_dir = str(tmp_path / "fleet")
+    instance, receivers, batches = chaos_workload(rounds=4)
+    store = ShardedStore(
+        instance,
+        ["Employee"],
+        shards=REPRO_SHARDS,
+        mode="process",
+        wal_dir=wal_dir,
     )
     try:
-        assert resliced.recovery_report[0]["mode"] == "full"
-        assert resliced.recovery_report[1]["mode"] == "tail"
-        assert (
-            resliced.coordinator.head.database.fingerprints() == head
+        acknowledged = []
+        for method, batch in batches:
+            store.apply_batch(method, batch)
+            acknowledged.append((method, batch))
+        for shard in store._shards:
+            os.kill(shard._process.pid, signal.SIGKILL)
+            shard._process.join(timeout=5.0)
+        recovered = ShardedStore.from_wal_dir(
+            wal_dir,
+            employee_object_schema(),
+            ["Employee"],
+            shards=REPRO_SHARDS,
+            mode="process",
         )
-        resliced.verify_consistent()
-    finally:
-        resliced.close()
-
-
-def test_a_stage_without_its_marker_reopens_by_tail(tmp_path):
-    """A crash between a stage's commit record and its marker leaves
-    the shard's log one version past its last marker.  Re-staging that
-    version normalizes to nothing, so the reopen still tail-replays
-    from the lagging marker and lands on the head slice.  A torn log,
-    by contrast, recovers with its marker unknown: the dump-diff."""
-    wal_dir = str(tmp_path / "fleet")
-    instance, receivers = sharded_company(n_employees=16, seed=5)
-    store = ShardedStore(instance, ["Employee"], shards=2, wal_dir=wal_dir)
-    owned = [
-        r for r in receivers if store.partitioning.shard_of_receiver(r) == 0
-    ]
-    try:
-        for receiver in owned[:3]:
-            store.apply_batch(
-                scenario_c_method(), [Receiver([receiver.receiving_object])]
+        try:
+            assert recovered.coordinator.head.database.fingerprints() == (
+                fingerprints(unsharded_fold(acknowledged, instance))
             )
-        head = store.coordinator.head.database.fingerprints()
+            recovered.verify_consistent()
+            names = os.listdir(wal_dir)
+            assert "coordinator.wal" in names
+            assert [n for n in names if n.startswith("shard-")] == []
+        finally:
+            recovered.close()
     finally:
         store.close()
-    # Cut shard 0's log right after its last commit record: the stage
-    # of the head version survives, every marker after it is gone.
-    path = os.path.join(wal_dir, "shard-0.wal")
-    with open(path, "rb") as handle:
-        lines = handle.readlines()
-    last_commit = max(
-        number
-        for number, line in enumerate(lines)
-        if parse_record(line).kind == KIND_COMMIT
-    )
-    assert any(
-        parse_record(line).kind == KIND_SHARD_META
-        for line in lines[last_commit + 1 :]
-    )
-    with open(path, "wb") as handle:
-        handle.writelines(lines[: last_commit + 1])
-    assert recover(path).shard_meta["applied"] == 2
-
-    recovered = ShardedStore.from_wal_dir(
-        wal_dir, employee_object_schema(), ["Employee"], shards=2
-    )
-    try:
-        assert recovered.recovery_report[0]["mode"] == "tail"
-        assert recovered.coordinator.head.version == 3
-        assert recovered.coordinator.head.database.fingerprints() == head
-        recovered.verify_consistent()
-    finally:
-        recovered.close()
-
-    with open(path, "ab") as handle:
-        handle.write(b'{"torn')
-    torn = ShardedStore.from_wal_dir(
-        wal_dir, employee_object_schema(), ["Employee"], shards=2
-    )
-    try:
-        assert torn.recovery_report[0]["mode"] == "full"
-        assert torn.recovery_report[1]["mode"] == "tail"
-        torn.verify_consistent()
-    finally:
-        torn.close()
 
 
 @fork_only
 @pytest.mark.benchmark_acceptance
-def test_recovery_cost_is_the_tail_not_the_slice(tmp_path):
-    """The incremental-recovery acceptance gate: healing a killed
-    worker stages only the missing tail of coordinator deltas — rows
-    moved are a small fraction of the full slice — and reopening a
-    fleet with intact logs performs zero full re-slices."""
+def test_recovery_cost_is_the_tail_not_the_slice(tmp_path, monkeypatch):
+    """The recovery acceptance gate: a worker killed while its shard is
+    a version behind is spawned from a fresh slice of the coordinator
+    head, so healing it ships neither a dump nor a catch-up stage over
+    the pipe — the fork carries the slice — and moves no catch-up rows.
+    Reopening the fleet performs zero full re-slices."""
     wal_dir = str(tmp_path / "fleet")
     instance, receivers = sharded_company(n_employees=32, seed=7)
     store = ShardedStore(
@@ -1245,7 +1180,6 @@ def test_recovery_cost_is_the_tail_not_the_slice(tmp_path):
     method = scenario_b_method()
     try:
         store.apply_batch(method, receivers[:16])
-        # Staging moves every shard's marker to the head.
         employees = sorted(
             obj for obj in instance.nodes if obj.cls == "Employee"
         )
@@ -1254,8 +1188,8 @@ def test_recovery_cost_is_the_tail_not_the_slice(tmp_path):
             [Receiver([obj]) for obj in employees[:6]],
         )
         store.verify_consistent()
-        # One coordinator-only commit owned by shard 0: the healed
-        # worker has exactly this tail to stage.
+        # One coordinator-only commit owned by shard 0 leaves its
+        # cursor one version behind the head.
         behind = next(
             r
             for r in receivers[16:]
@@ -1265,51 +1199,46 @@ def test_recovery_cost_is_the_tail_not_the_slice(tmp_path):
         txn.apply_method(method, [behind])
         txn.commit()
 
-        slice_rows = sum(
-            len(rows)
-            for rows in store._shards[0].call(("dump",)).values()
-        )
         rows_before = counter_value("store.shard.catchup_rows")
         restarts_before = len(
             flight.active().events("shard.worker_restart")
         )
+        sent = []
+        send = ProcessShard.send
+
+        def recording(handle, command):
+            sent.append((handle.shard, command[0]))
+            send(handle, command)
+
+        monkeypatch.setattr(ProcessShard, "send", recording)
         victim = store._shards[0]._process
         victim.kill()
         victim.join(timeout=5.0)
 
         # The next batch heals transparently...
-        fresh = [
-            r
-            for r in receivers[16:]
-            if r is not behind
-        ]
+        fresh = [r for r in receivers[16:] if r is not behind]
         store.apply_batch(method, fresh[:8])
-        restart_events = flight.active().events(
-            "shard.worker_restart"
-        )[restarts_before:]
-        assert restart_events, "the kill must trigger a restart"
-        # ...by replaying the tail, not re-slicing the shard.
-        assert restart_events[-1].data["mode"] == "tail"
-        moved = counter_value("store.shard.catchup_rows") - rows_before
-        assert moved >= 1
-        assert moved * 5 <= slice_rows, (
-            f"catch-up moved {moved} rows against a {slice_rows}-row "
-            f"slice — that is a re-slice, not an incremental tail"
-        )
+        assert flight.active().events("shard.worker_restart")[
+            restarts_before:
+        ], "the kill must trigger a restart"
+        # ...by spawning from the head: the stage that found the dead
+        # worker is the only stage shard 0 is sent, and nothing is
+        # dumped or caught up.
+        assert [op for shard, op in sent if shard == 0] == [
+            "stage",
+            "status",
+            "status",
+        ]
+        assert counter_value("store.shard.catchup_rows") == rows_before
         store.verify_consistent()
     finally:
         store.close()
 
-    # Intact logs ⇒ zero full re-slices on reopen.
     full_before = counter_value("store.shard.resyncs.full")
     recovered = ShardedStore.from_wal_dir(
         wal_dir, employee_object_schema(), ["Employee"], shards=2
     )
     try:
-        assert all(
-            report["mode"] == "tail"
-            for report in recovered.recovery_report.values()
-        )
         assert (
             counter_value("store.shard.resyncs.full") == full_before
         )

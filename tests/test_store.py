@@ -3,15 +3,28 @@ isolation, cross-version cache reuse, and the four commit paths of the
 optimistic protocol (fast path, structural commute, deterministic
 replay, semantic commute via Theorem 5.12) plus the abort cases."""
 
+import random
 import threading
 
 import pytest
 
+from repro.algebraic.examples import (
+    add_bar_algebraic,
+    add_serving_bars_algebraic,
+    delete_bar_algebraic,
+    favorite_bar_algebraic,
+)
 from repro.algebraic.query_order import receivers_from_query
+from repro.algebraic.specimens import (
+    prop_5_14_if_direction,
+    prop_5_14_only_if_direction,
+    transitive_closure_method,
+)
 from repro.core.receiver import Receiver
 from repro.core.sequential import apply_sequence
+from repro.core.signature import MethodSignature
 from repro.graph.instance import Obj
-from repro.graph.schema import SchemaError
+from repro.graph.schema import Schema, SchemaError
 from repro.objrel.mapping import instance_to_database
 from repro.obs.metrics import global_registry
 from repro.parallel.apply import (
@@ -19,8 +32,10 @@ from repro.parallel.apply import (
     apply_parallel_transactional,
     method_read_relations,
     parallel_changes,
+    parallel_statement_expression,
 )
-from repro.relational.algebra import Rel
+from repro.parallel.transform import REC
+from repro.relational.algebra import Rel, walk
 from repro.relational.delta import RelationDelta
 from repro.sqlsim.scenarios import (
     make_company,
@@ -47,6 +62,7 @@ from repro.store import (
     run_transaction,
 )
 from repro.store.txn import DEPENDENT, INDEPENDENT, KEY_INDEPENDENT
+from repro.workloads.methods import random_positive_method
 
 
 @pytest.fixture
@@ -533,6 +549,58 @@ class TestClassification:
         assert "Employee.salary" in method_read_relations(
             scenario_c_method()
         )
+
+    def test_method_read_relations_is_the_set_par_reads(self):
+        """The read set, collected from the statement bodies, equals the
+        relations ``par(E)`` references besides ``rec`` — for every
+        method defined in the package and for random positive methods
+        with zero to two arguments."""
+
+        def par_reads(method):
+            names = set()
+            for label in method.updated_properties:
+                expr = parallel_statement_expression(method, label)
+                names.update(
+                    node.name for node in walk(expr) if isinstance(node, Rel)
+                )
+                names.add(method.object_schema.edge(label).target)
+            names.discard(REC)
+            return frozenset(names)
+
+        methods = [
+            scenario_b_method(),
+            scenario_c_method(),
+            favorite_bar_algebraic(),
+            add_bar_algebraic(),
+            add_serving_bars_algebraic(),
+            delete_bar_algebraic(),
+            transitive_closure_method(),
+            prop_5_14_if_direction()[0],
+            prop_5_14_only_if_direction()[0],
+        ]
+        schema = Schema(
+            ["K0", "K1", "K2"],
+            [("K0", "p0", "K1"), ("K0", "p1", "K0"), ("K1", "q", "K2")],
+        )
+        for seed in range(1500):
+            rng = random.Random(seed)
+            signature = None
+            if seed % 3 == 0:
+                signature = MethodSignature(
+                    ["K0"] + rng.choices(["K0", "K1", "K2"], k=2)
+                )
+            method = random_positive_method(
+                rng,
+                schema,
+                signature,
+                n_statements=1 + seed % 2,
+                depth=1 + seed % 3,
+            )
+            if method is not None:
+                methods.append(method)
+        assert len(methods) > 1000
+        for method in methods:
+            assert method_read_relations(method) == par_reads(method)
 
     def test_compose_changes_sequences_correctly(self):
         first = {
