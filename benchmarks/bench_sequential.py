@@ -7,7 +7,10 @@ Series:
   expression evaluation per receiver);
 * exhaustive order-independence checking over all n! enumerations vs the
   pairwise transposition check of Lemma 3.3 (n! vs n^2) — the lemma is
-  what makes checking practical.
+  what makes checking practical;
+* the (C') fold ``sequential.fold_c``: update (C') of Section 7 folded
+  over single-employee receivers (32 at 32 employees, 64 at 400), one
+  ``E(I, t)`` through a one-shot query engine per step (no gate).
 """
 
 import pytest
@@ -23,6 +26,12 @@ from repro.core.sequential import apply_sequence
 from repro.graph.builder import InstanceBuilder
 from repro.graph.instance import Obj
 from repro.graph.schema import drinker_bar_beer_schema
+from repro.parallel.apply import apply_sequence_incremental
+from repro.sqlsim.scenarios import (
+    make_company,
+    scenario_c_method,
+    tables_to_instance,
+)
 
 
 def star_instance(n_bars):
@@ -73,3 +82,21 @@ def test_pairwise_order_independence(benchmark, size):
             method, instance, receivers(size)
         ),
     )
+
+
+@pytest.mark.parametrize("employees,folded", [(32, 32), (400, 64)])
+def test_sequential_fold_scenario_c(benchmark, employees, folded):
+    # (C') reads the relation it writes: the order-dependent case the
+    # sequential fold exists for.
+    method = scenario_c_method()
+    table, _, newsal = make_company(employees, seed=7)
+    instance = tables_to_instance(table, newsal=newsal)
+    sequence = [Receiver([Obj("Employee", row["EmpId"])]) for row in table]
+    sequence = sequence[:folded]
+    result = measure(
+        benchmark,
+        f"sequential.fold_c[n{employees}]",
+        lambda: apply_sequence(method, instance, sequence),
+    )
+    # Lemma 6.7: the fold of singleton M_par steps reaches the same state.
+    assert result == apply_sequence_incremental(method, instance, sequence)

@@ -24,8 +24,8 @@ from repro.objrel.mapping import (
 )
 from repro.relational.algebra import Expr
 from repro.relational.database import Database, DatabaseSchema
+from repro.relational.engine import QueryEngine
 from repro.relational.evaluate import infer_schema
-from repro.relational.optimizer import evaluate_optimized as evaluate
 from repro.relational.relation import (
     Attribute,
     RelationError,
@@ -130,6 +130,28 @@ def check_update_expression(
     return attribute.name
 
 
+def receiver_engine(
+    instance: Instance, receiver: Receiver, signature: MethodSignature
+) -> QueryEngine:
+    """An engine over ``I`` with ``self`` and the arguments bound to
+    ``t``: every statement of one application ``M(I, t)`` evaluates
+    through it, so ``I`` is converted and bound once per application."""
+    return QueryEngine(
+        bind_receiver(instance_to_database(instance), signature, receiver)
+    )
+
+
+def update_values(engine: QueryEngine, expr: Expr) -> FrozenSet[Obj]:
+    """``E(I, t)`` as a set of objects, with ``engine`` from
+    :func:`receiver_engine`."""
+    relation = engine.evaluate(expr)
+    if relation.schema.arity != 1:
+        raise RelationError(
+            f"update expressions must be unary; got {relation.schema}"
+        )
+    return frozenset(row[0] for row in relation)
+
+
 def evaluate_update_expression(
     expr: Expr,
     instance: Instance,
@@ -137,12 +159,4 @@ def evaluate_update_expression(
     signature: MethodSignature,
 ) -> FrozenSet[Obj]:
     """``E(I, t)`` (Definition 5.4 item 2), as a set of objects."""
-    database = bind_receiver(
-        instance_to_database(instance), signature, receiver
-    )
-    relation = evaluate(expr, database)
-    if relation.schema.arity != 1:
-        raise RelationError(
-            f"update expressions must be unary; got {relation.schema}"
-        )
-    return frozenset(row[0] for row in relation)
+    return update_values(receiver_engine(instance, receiver, signature), expr)

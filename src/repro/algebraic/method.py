@@ -25,14 +25,17 @@ from typing import Dict, Mapping, Tuple
 from repro.algebraic.expression import (
     UpdateTypeError,
     check_update_expression,
-    evaluate_update_expression,
+    receiver_engine,
+    update_values,
 )
 from repro.core.method import UpdateMethod
 from repro.core.receiver import Receiver
 from repro.core.signature import MethodSignature
 from repro.graph.instance import Instance
 from repro.graph.schema import Schema, SchemaError
+from repro.objrel.mapping import class_relation_name
 from repro.relational.algebra import Expr
+from repro.relational.engine import intern_expr
 from repro.relational.positivity import is_positive
 
 
@@ -63,7 +66,11 @@ class AlgebraicUpdateMethod(UpdateMethod):
             self._output_attrs[label] = check_update_expression(
                 expr, object_schema, signature, edge.target
             )
-        self._statements: Dict[str, Expr] = dict(statements)
+        # Interned once here, so each application's engine finds every
+        # statement, and the plans of its regions, already canonical.
+        self._statements: Dict[str, Expr] = {
+            label: intern_expr(expr) for label, expr in statements.items()
+        }
 
     # ------------------------------------------------------------------
     # Accessors
@@ -97,19 +104,22 @@ class AlgebraicUpdateMethod(UpdateMethod):
     # ------------------------------------------------------------------
     def _apply(self, instance: Instance, receiver: Receiver) -> Instance:
         receiving = receiver.receiving_object
-        # Evaluate every right-hand side against the original instance.
+        # Evaluate every right-hand side against the original instance,
+        # all through one engine bound to it.
+        engine = receiver_engine(instance, receiver, self.signature)
         new_values = {}
         for label, expr in self._statements.items():
-            values = evaluate_update_expression(
-                expr, instance, receiver, self.signature
-            )
+            values = update_values(engine, expr)
             target_class = self._object_schema.edge(label).target
-            targets = instance.objects_of_class(target_class)
-            if not values <= targets:
+            targets = engine.database.relation(
+                class_relation_name(target_class)
+            ).tuples
+            outside = [value for value in values if (value,) not in targets]
+            if outside:
                 raise UpdateTypeError(
                     f"statement {label} := ... produced objects "
                     f"outside class {target_class}: "
-                    f"{sorted(map(str, values - targets))}"
+                    f"{sorted(map(str, outside))}"
                 )
             new_values[label] = values
         result = instance

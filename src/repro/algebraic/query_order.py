@@ -35,8 +35,8 @@ from repro.objrel.mapping import (
 )
 from repro.parallel.transform import rec_schema
 from repro.relational.algebra import Expr
+from repro.relational.engine import QueryEngine
 from repro.relational.evaluate import infer_schema
-from repro.relational.optimizer import evaluate_optimized
 from repro.relational.relation import RelationError
 
 
@@ -61,8 +61,7 @@ def receivers_from_query(
     query: Expr, instance: Instance
 ) -> Set[Receiver]:
     """``Q(I)``: evaluate a receiver query into a set of receivers."""
-    database = instance_to_database(instance)
-    relation = evaluate_optimized(query, database)
+    relation = QueryEngine(instance_to_database(instance)).evaluate(query)
     return {Receiver(row) for row in relation}
 
 

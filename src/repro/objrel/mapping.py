@@ -17,6 +17,7 @@ dependencies — :func:`instance_to_database` and
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from repro.graph.instance import Edge, Instance, Obj
@@ -45,18 +46,21 @@ def property_relation_name(schema: Schema, label: str) -> str:
     return f"{edge.source}.{label}"
 
 
+@lru_cache(maxsize=256)  # one schema per name: conversions share it
 def class_relation_schema(class_name: str) -> RelationSchema:
     return RelationSchema([Attribute(class_name, class_name)])
 
 
 def property_relation_schema(schema: Schema, label: str) -> RelationSchema:
     edge = schema.edge(label)
-    return RelationSchema(
-        [
-            Attribute(edge.source, edge.source),
-            Attribute(label, edge.target),
-        ]
-    )
+    return _edge_relation_schema(edge.source, label, edge.target)
+
+
+@lru_cache(maxsize=256)
+def _edge_relation_schema(
+    source: str, label: str, target: str
+) -> RelationSchema:
+    return RelationSchema([Attribute(source, source), Attribute(label, target)])
 
 
 def schema_to_database_schema(schema: Schema) -> DatabaseSchema:
@@ -108,21 +112,34 @@ def schema_dependencies(
 
 
 def instance_to_database(instance: Instance) -> Database:
-    """The relational instance representing ``instance``."""
+    """The relational instance representing ``instance``.
+
+    One pass over the nodes groups them by class and one over the edges
+    groups them by label.  A validated instance yields rows of the
+    right arity, so the relations are built without re-validation.
+    """
     schema = instance.schema
-    relations: Dict[str, Relation] = {}
-    for class_name in schema.class_names:
-        rows = {(obj,) for obj in instance.objects_of_class(class_name)}
-        relations[class_relation_name(class_name)] = Relation(
-            class_relation_schema(class_name), rows
+    by_class: Dict[str, List[Tuple[Obj]]] = {
+        name: [] for name in schema.class_names
+    }
+    for obj in instance.nodes:
+        by_class[obj[0]].append((obj,))
+    edges = schema.edges
+    by_label: Dict[str, List[Tuple[Obj, Obj]]] = {
+        edge.label: [] for edge in edges
+    }
+    for edge in instance.edges:
+        by_label[edge.label].append((edge.source, edge.target))
+    relations: Dict[str, Relation] = {
+        class_relation_name(name): Relation._from_rows(
+            class_relation_schema(name), rows
         )
-    for edge in schema.edges:
-        rows = {
-            (e.source, e.target)
-            for e in instance.edges_labeled(edge.label)
-        }
-        relations[property_relation_name(schema, edge.label)] = Relation(
-            property_relation_schema(schema, edge.label), rows
+        for name, rows in by_class.items()
+    }
+    for edge in edges:
+        relations[property_relation_name(schema, edge.label)] = Relation._from_rows(
+            _edge_relation_schema(edge.source, edge.label, edge.target),
+            by_label[edge.label],
         )
     return Database(relations)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Sequence
 
 from repro.relational.algebra import (
     Difference,
@@ -14,6 +14,7 @@ from repro.relational.algebra import (
     Rename,
     Select,
     Union,
+    children,
 )
 from repro.relational.database import Database, DatabaseSchema
 from repro.relational.relation import (
@@ -35,9 +36,19 @@ def infer_schema(expr: Expr, db_schema: DatabaseSchema) -> RelationSchema:
         return db_schema.relation_schema(expr.name)
     if isinstance(expr, Empty):
         return expr.schema
+    return node_schema(
+        expr, [infer_schema(child, db_schema) for child in children(expr)]
+    )
+
+
+def node_schema(
+    expr: Expr, child_schemas: Sequence[RelationSchema]
+) -> RelationSchema:
+    """The output schema of one operator node from its children's
+    schemas: the type rules of :func:`infer_schema` for a single step,
+    so a caller that memoizes child schemas infers bottom-up."""
     if isinstance(expr, (Union, Difference)):
-        left = infer_schema(expr.left, db_schema)
-        right = infer_schema(expr.right, db_schema)
+        left, right = child_schemas
         if left != right:
             raise RelationError(
                 f"{type(expr).__name__} of different schemas "
@@ -45,11 +56,9 @@ def infer_schema(expr: Expr, db_schema: DatabaseSchema) -> RelationSchema:
             )
         return left
     if isinstance(expr, Product):
-        left = infer_schema(expr.left, db_schema)
-        right = infer_schema(expr.right, db_schema)
-        return left.concat(right)
+        return child_schemas[0].concat(child_schemas[1])
     if isinstance(expr, Select):
-        child = infer_schema(expr.child, db_schema)
+        child = child_schemas[0]
         if child.domain_of(expr.left) != child.domain_of(expr.right):
             raise RelationError(
                 f"selection compares attributes of different domains: "
@@ -58,11 +67,9 @@ def infer_schema(expr: Expr, db_schema: DatabaseSchema) -> RelationSchema:
             )
         return child
     if isinstance(expr, Project):
-        child = infer_schema(expr.child, db_schema)
-        return child.project(expr.attrs)
+        return child_schemas[0].project(expr.attrs)
     if isinstance(expr, Rename):
-        child = infer_schema(expr.child, db_schema)
-        return child.rename(expr.old, expr.new)
+        return child_schemas[0].rename(expr.old, expr.new)
     raise TypeError(f"unknown expression node {expr!r}")
 
 

@@ -14,6 +14,7 @@ generic (the Section 7 SQL layer uses plain Python values).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from types import MappingProxyType
 from typing import (
@@ -135,15 +136,17 @@ class Attribute:
 class RelationSchema:
     """An ordered tuple of attributes with distinct names."""
 
-    __slots__ = ("_attributes", "_index")
+    __slots__ = ("_attributes", "_index", "_names", "_hash")
 
     def __init__(self, attributes: Iterable[Attribute]) -> None:
         attrs = tuple(attributes)
-        names = [a.name for a in attrs]
+        names = tuple(a.name for a in attrs)
         if len(set(names)) != len(names):
-            raise RelationError(f"duplicate attribute names in {names}")
+            raise RelationError(f"duplicate attribute names in {list(names)}")
         self._attributes: Tuple[Attribute, ...] = attrs
-        self._index = {a.name: i for i, a in enumerate(attrs)}
+        self._index = {name: i for i, name in enumerate(names)}
+        self._names = names
+        self._hash: Optional[int] = None
 
     @property
     def attributes(self) -> Tuple[Attribute, ...]:
@@ -151,7 +154,7 @@ class RelationSchema:
 
     @property
     def names(self) -> Tuple[str, ...]:
-        return tuple(a.name for a in self._attributes)
+        return self._names
 
     @property
     def arity(self) -> int:
@@ -193,12 +196,20 @@ class RelationSchema:
         return RelationSchema(self._attributes + other._attributes)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, RelationSchema):
             return NotImplemented
         return self._attributes == other._attributes
 
     def __hash__(self) -> int:
-        return hash(self._attributes)
+        if self._hash is None:
+            self._hash = hash(self._attributes)
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: the cached hash stays.
+        return (RelationSchema, (self._attributes,))
 
     def __iter__(self) -> Iterator[Attribute]:
         return iter(self._attributes)
@@ -442,8 +453,16 @@ class Relation:
         return Relation._from_rows(self._schema, rows)
 
     def project(self, names: Sequence[str]) -> "Relation":
-        schema = self._schema.project(names)
-        positions = [self._schema.position(n) for n in names]
+        return self._picked(
+            self._schema.project(names),
+            [self._schema.position(n) for n in names],
+        )
+
+    def _picked(
+        self, schema: RelationSchema, positions: Sequence[int]
+    ) -> "Relation":
+        """The columns at ``positions`` as a relation over ``schema``
+        (their projected schema): the row work of :meth:`project`."""
         if len(positions) > 1:
             rows = frozenset(map(itemgetter(*positions), self._tuples))
         elif positions:
@@ -457,9 +476,12 @@ class Relation:
         fingerprint accumulator and column indexes (a rename keeps
         every column's position); only the schema (and so the
         fingerprint) changes."""
-        result = Relation._from_rows(
-            self._schema.rename(old, new), self._tuples
-        )
+        return self._relabeled(self._schema.rename(old, new))
+
+    def _relabeled(self, schema: RelationSchema) -> "Relation":
+        """This relation's rows under ``schema``, which must only
+        rename its columns: the zero-copy core of :meth:`rename`."""
+        result = Relation._from_rows(schema, self._tuples)
         result._tuple_xor = self._tuple_xor
         result._indexes = self._indexes
         return result
@@ -515,7 +537,12 @@ def empty_relation(schema: RelationSchema) -> Relation:
 
 def unary_singleton(name: str, domain: str, value) -> Relation:
     """A one-attribute, one-tuple relation (``self``/``arg`` relations)."""
-    return Relation(schema_of((name, domain)), [(value,)])
+    return Relation._from_rows(_unary_schema(name, domain), ((value,),))
+
+
+@lru_cache(maxsize=256)
+def _unary_schema(name: str, domain: str) -> RelationSchema:
+    return schema_of((name, domain))
 
 
 TRUE_RELATION_SCHEMA = RelationSchema([])

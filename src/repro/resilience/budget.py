@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional, TypeVar
+from typing import Callable, Dict, Iterator, List, Optional, TypeVar
 
 from repro.obs import flight
 from repro.obs import tracer as trace
@@ -240,20 +240,25 @@ class Budget:
 # ----------------------------------------------------------------------
 # The ambient (thread-local) budget
 # ----------------------------------------------------------------------
-_tls = threading.local()
+class _ThreadBudgets(threading.local):
+    """Each thread's stack of installed budgets, empty until a budget
+    is installed there (so reading it never misses an attribute)."""
+
+    def __init__(self) -> None:
+        self.stack: List[Budget] = []
+
+
+_tls = _ThreadBudgets()
 
 
 def current() -> Optional[Budget]:
     """The calling thread's installed budget, or ``None``."""
-    stack = getattr(_tls, "stack", None)
+    stack = _tls.stack
     return stack[-1] if stack else None
 
 
 def _push(budget: Budget) -> None:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = _tls.stack = []
-    stack.append(budget)
+    _tls.stack.append(budget)
 
 
 def _pop() -> None:
@@ -280,7 +285,7 @@ def tick(site: str, amount: int = 1) -> None:
     ``is None`` test — the fast path the ``<5%`` disabled-overhead gate
     measures (``bench_resilience.test_disabled_resilience_overhead``).
     """
-    stack = getattr(_tls, "stack", None)
+    stack = _tls.stack
     if stack:
         stack[-1].check(site, amount)
 

@@ -107,6 +107,12 @@ class RecoveredState:
 
     problems: List[str] = field(default_factory=list)
 
+    next_lsn: int = 0
+    """The LSN the next appended record takes."""
+
+    last_version: int = -1
+    """The version of the last valid record (-1 for an empty log)."""
+
     @property
     def clean(self) -> bool:
         """Whether the log validated end to end (nothing truncated)."""
@@ -179,6 +185,8 @@ def recover(path: str, truncate: bool = True) -> RecoveredState:
         commits_applied=commits,
         truncated_bytes=torn,
         problems=problems,
+        next_lsn=records[-1].lsn + 1 if records else 0,
+        last_version=records[-1].version if records else -1,
     )
 
 

@@ -261,7 +261,7 @@ class Transaction:
         self._require_active()
         engine = self.engine()
         node = engine.intern(expr)
-        self._reads.update(self.store.cache.base_relations(node))
+        self._reads.update(self.store.cache.interner.base_relations(node))
         return engine.evaluate(node)
 
     def derive_receivers(self, query) -> Tuple[Receiver, ...]:

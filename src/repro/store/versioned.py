@@ -291,8 +291,10 @@ class VersionedStore:
 
         The torn tail (if any) is truncated, the latest checkpoint plus
         subsequent commits replay into the head database, and the store
-        resumes committing at the recovered version.  Pass ``schema`` to
-        give versions their (lazily derived) object-base instance view.
+        resumes committing at the recovered version.  The log is read
+        once: the recovery scan's last LSN and version seed the
+        attached :class:`WriteAheadLog`.  Pass ``schema`` to give
+        versions their (lazily derived) object-base instance view.
         """
         from repro.store.recovery import recover
 
@@ -304,7 +306,9 @@ class VersionedStore:
             state.version,
             state.database,
             schema,
-            WriteAheadLog(path, durability=durability),
+            WriteAheadLog._after_recovery(
+                path, durability, state.next_lsn, state.last_version
+            ),
             cache,
             commutativity,
             decision_budget,

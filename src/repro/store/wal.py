@@ -292,6 +292,34 @@ class WriteAheadLog:
         durability: str = "flush",
         fault: Optional["FaultHook"] = None,
     ) -> None:
+        self._setup(path, durability, fault)
+        if os.path.exists(path):
+            from repro.store.recovery import scan_wal
+
+            records, valid_bytes, _ = scan_wal(path)
+            if os.path.getsize(path) != valid_bytes:
+                with open(path, "r+b") as handle:
+                    handle.truncate(valid_bytes)
+            if records:
+                self._next_lsn = records[-1].lsn + 1
+                self._last_version = records[-1].version
+        self._handle = open(path, "ab")
+
+    @classmethod
+    def _after_recovery(
+        cls, path: str, durability: str, next_lsn: int, last_version: int
+    ) -> "WriteAheadLog":
+        """Attach to ``path`` right after :func:`recover` scanned and
+        truncated it, resuming at its next LSN without a second scan."""
+        log = cls.__new__(cls)
+        log._setup(path, durability, None)
+        log._next_lsn, log._last_version = next_lsn, last_version
+        log._handle = open(path, "ab")
+        return log
+
+    def _setup(
+        self, path: str, durability: str, fault: Optional["FaultHook"]
+    ) -> None:
         if durability not in DURABILITY_MODES:
             raise WalError(
                 f"unknown durability mode {durability!r}; "
@@ -304,17 +332,6 @@ class WriteAheadLog:
         self._next_lsn = 0
         self._last_version = -1
         self._poisoned: Optional[str] = None
-        if os.path.exists(path):
-            from repro.store.recovery import scan_wal
-
-            records, valid_bytes, _ = scan_wal(path)
-            if os.path.getsize(path) != valid_bytes:
-                with open(path, "r+b") as handle:
-                    handle.truncate(valid_bytes)
-            if records:
-                self._next_lsn = records[-1].lsn + 1
-                self._last_version = records[-1].version
-        self._handle = open(path, "ab")
 
     # -- introspection -------------------------------------------------
     @property

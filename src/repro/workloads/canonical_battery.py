@@ -123,20 +123,20 @@ def canonical_battery(
 
 
 # ----------------------------------------------------------------------
-# The relational skewed-join battery (optimizer v2)
+# The relational skewed-join battery (the query engine's probe queries)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SkewedJoinBattery:
     """One seeded large relational instance plus its probe queries.
 
     * ``simple_join`` — σ_{fk=dk}(Fact × Dim): one join pair, exercises
-      the skewed-key hash join and the sampled n-distinct estimate.
+      the engine's hash join on a skewed key.
     * ``correlated_join`` — σ_{fv=dv}(σ_{fk=dk}(Fact × Dim)): two join
       pairs over *correlated* columns (``fv`` tracks ``fk`` for most
-      rows), the case the independence assumption misestimates; the
-      misestimate changes at most the join order, never the rows.
+      rows), so the result is far smaller than either pair alone
+      selects.
     * ``projected_join`` — π_{fk,fv} of the correlated join: heavy
-      duplicate elimination, the π-dedup kernel's case.
+      duplicate elimination.
     """
 
     database: Database

@@ -1,9 +1,14 @@
-"""The memoizing query engine: differential tests against both
-reference evaluators, CSE/caching behavior, plan observability, the
+"""The memoizing query engine: differential tests against the
+reference evaluator, CSE/caching behavior, plan observability, the
 size rule that orders joins, and regression tests for the evaluator
 bugfix batch."""
 
+import random
 import re
+import subprocess
+import sys
+import textwrap
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +26,12 @@ from repro.relational.algebra import (
 )
 from repro.relational.database import Database, DatabaseSchema
 from repro.relational.engine import (
+    EngineCache,
     Interner,
     QueryEngine,
     intern_expr,
 )
 from repro.relational.evaluate import evaluate, infer_schema
-from repro.relational.optimizer import evaluate_optimized, join_factors
 from repro.relational.relation import Relation, RelationError, schema_of
 
 from tests.test_property_translate import (
@@ -66,10 +71,13 @@ def engine_expressions(draw, depth=3):
 @given(engine_expressions(), databases())
 @settings(max_examples=150, deadline=None)
 def test_engine_matches_both_evaluators(expr, database):
+    """The engine without a cache and the engine over a shared
+    :class:`EngineCache` (keyed results, cross-state memo) both equal
+    the reference evaluator."""
     engine = QueryEngine(database)
     result = engine.evaluate(expr)
     assert result == evaluate(expr, database)
-    assert result == evaluate_optimized(expr, database)
+    assert QueryEngine(database, cache=EngineCache()).evaluate(expr) == result
     # Evaluating again is a pure cache hit with the identical result.
     hits_before = engine.stats.cache_hits
     assert engine.evaluate(expr) == result
@@ -172,6 +180,45 @@ class TestInterning:
     def test_intern_expr_uses_process_interner(self):
         assert intern_expr(Rel("E")) is intern_expr(Rel("E"))
 
+    def test_concurrent_interning_marks_only_the_kept_nodes(self):
+        """Threads interning equal structures all get the node the table
+        keeps, and only kept nodes are marked canonical: a marked node
+        that the table dropped could die and pass its id to another."""
+        interner = Interner()
+        workers, rounds = 8, 6000
+        barrier = threading.Barrier(workers)
+        results = [[] for _ in range(workers)]
+
+        def build(k):
+            name = f"v{k}"
+            return Select(
+                Product(Rel("E"), Rename(Rel("U"), "u", name)), "s", name, True
+            )
+
+        def work(slot):
+            barrier.wait()
+            for k in range(rounds):
+                results[slot].append(interner.intern(build(k)))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(slot,))
+                for slot in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        kept = {id(node) for node in interner._table.values()}
+        assert interner._canonical == kept
+        for k in range(rounds):
+            assert len({id(nodes[k]) for nodes in results}) == 1
+
 
 class TestObservability:
     @pytest.fixture
@@ -258,72 +305,40 @@ class TestApplyParallelArityCheck:
         assert receiver_value_positions(relation) == (1, 0)
 
 
-class TestJoinFactorsErrors:
-    """optimizer.py: leftover conditions raise RelationError (not a bare
-    assert, which ``python -O`` strips)."""
-
-    def test_unappliable_condition_raises_relation_error(self):
-        relation = Relation(schema_of(("s", "D")), {(1,)})
-        with pytest.raises(RelationError, match="unapplied"):
-            join_factors([relation], [("nope", "nah", True)])
-
-    def test_error_names_conditions_and_schema(self):
-        relation = Relation(schema_of(("s", "D")), {(1,)})
-        with pytest.raises(RelationError, match="nope") as excinfo:
-            join_factors([relation], [("nope", "nah", True)])
-        assert "s" in str(excinfo.value)
-
-    def test_survives_python_O(self):
-        # The check must not be an assert statement: it has to fire even
-        # with assertions stripped.
-        import subprocess
-        import sys
-        import textwrap
-
-        code = textwrap.dedent(
-            """
-            from repro.relational.optimizer import join_factors
-            from repro.relational.relation import (
-                Relation, RelationError, schema_of,
+def test_ill_typed_selection_raises_under_python_O():
+    """An ill-typed selection raises :class:`RelationError` from the
+    engine, not from a bare assert that ``python -O`` strips."""
+    code = textwrap.dedent(
+        """
+        from repro.relational.algebra import Product, Rel, Select
+        from repro.relational.database import Database
+        from repro.relational.engine import QueryEngine
+        from repro.relational.relation import (
+            Relation, RelationError, schema_of,
+        )
+        database = Database({
+            "S": Relation(schema_of(("s", "D")), {(1,)}),
+            "T": Relation(schema_of(("t", "C")), {(1,)}),
+        })
+        try:
+            QueryEngine(database).evaluate(
+                Select(Product(Rel("S"), Rel("T")), "s", "t", True)
             )
-            relation = Relation(schema_of(("s", "D")), {(1,)})
-            try:
-                join_factors([relation], [("nope", "nah", True)])
-            except RelationError:
-                print("raised")
-            """
-        )
-        result = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": "src"},
-        )
-        assert result.stdout.strip() == "raised", result.stderr
+        except RelationError:
+            print("raised")
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": "src"},
+    )
+    assert result.stdout.strip() == "raised", result.stderr
 
 
 class TestDeterministicJoinChoice:
-    """optimizer.py: smallest connected factor joins first, so the plan
-    (and the result, trivially) is reproducible."""
-
-    def test_smallest_connected_factor_preferred(self):
-        big = Relation(
-            schema_of(("s", "D"), ("t", "D")),
-            {(i, i % 3) for i in range(9)},
-        )
-        small = Relation(schema_of(("u", "D")), {(0,), (1,)})
-        tiny = Relation(schema_of(("v", "D")), {(2,)})
-        # Seeded with tiny; both big and small connect to nothing yet —
-        # but after the cross product step the plan must be stable.
-        conditions = [("s", "u", True), ("t", "v", True)]
-        first = join_factors([big, small, tiny], list(conditions))
-        second = join_factors([small, tiny, big], list(conditions))
-        # Same logical result regardless of factor order.
-        assert frozenset(
-            frozenset(zip(first.schema.names, row)) for row in first
-        ) == frozenset(
-            frozenset(zip(second.schema.names, row)) for row in second
-        )
+    """The smallest factor seeds the join, so the plan is reproducible."""
 
     def test_engine_plan_stable_across_factor_sizes(self):
         database = Database(
@@ -484,6 +499,53 @@ class TestEngineWiring:
             # Structurally equal builds intern to the same objects.
             assert first.pairs[label][0] is second.pairs[label][0]
             assert first.pairs[label][1] is second.pairs[label][1]
+
+
+def _join_shapes_database():
+    rng = random.Random(0)
+    e_rows = {(rng.randrange(10), rng.randrange(10)) for _ in range(30)}
+    u_rows = {(rng.randrange(10),) for _ in range(8)}
+    return Database(
+        {
+            "E": Relation(DB_SCHEMA.relation_schema("E"), e_rows),
+            "U": Relation(DB_SCHEMA.relation_schema("U"), u_rows),
+        }
+    )
+
+
+_E2 = Rename(Rename(Rel("E"), "s", "s2"), "t", "t2")
+_E3 = Rename(Rename(Rel("E"), "s", "s3"), "t", "t3")
+_E_JOIN_E = Project(
+    Select(Product(Rel("E"), _E2), "t", "s2", True), ("s", "t2")
+)
+
+#: Join shapes the size rule must order correctly: an equi-join chain,
+#: products with no connecting equality, a non-equality alone and
+#: beside an equality, a projection above a join, and a union of joins.
+JOIN_SHAPES = {
+    "hash_join_chain": Select(
+        Select(Product(Product(Rel("E"), _E2), _E3), "t", "s2", True),
+        "t2",
+        "s3",
+        True,
+    ),
+    "disconnected_product": Product(Rel("U"), Rename(Rel("U"), "u", "v")),
+    "neq_only_conditions": Select(
+        Product(Rel("U"), Rename(Rel("U"), "u", "v")), "u", "v", False
+    ),
+    "mixed_eq_neq": Select(
+        Select(Product(Rel("E"), _E2), "t", "s2", True), "s", "t2", False
+    ),
+    "projection_above_join": _E_JOIN_E,
+    "union_of_joins": Union(_E_JOIN_E, _E_JOIN_E),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(JOIN_SHAPES))
+def test_join_shapes_match_evaluate(shape):
+    database = _join_shapes_database()
+    expr = JOIN_SHAPES[shape]
+    assert QueryEngine(database).evaluate(expr) == evaluate(expr, database)
 
 
 MIXED_SCHEMA = DatabaseSchema(

@@ -378,6 +378,38 @@ class TestCrashRecovery:
             == store.head.database.fingerprints()
         )
 
+    def test_from_wal_scans_the_log_once(self, tmp_path, monkeypatch):
+        from repro.store import recovery
+
+        path = tmp_path / "once.wal"
+        instance = company_instance()
+        store = VersionedStore(instance=instance, wal=str(path))
+        for delta in toggle_deltas(instance, 3):
+            store.commit_changes(delta)
+        store.close()
+        scans = []
+        real_scan = recovery.scan_wal
+
+        def counting_scan(scanned):
+            scans.append(scanned)
+            return real_scan(scanned)
+
+        monkeypatch.setattr(recovery, "scan_wal", counting_scan)
+        revived = VersionedStore.from_wal(
+            str(path), schema=employee_object_schema()
+        )
+        assert scans == [str(path)]
+        # The log resumes where the scan ended: the next commit takes
+        # the next LSN and version, and the whole log recovers clean.
+        assert revived.wal.next_lsn == 4
+        assert revived.wal.last_version == store.head.version
+        committed = revived.commit_changes(toggle_deltas(instance, 4)[3])
+        assert committed.version == store.head.version + 1
+        revived.close()
+        state = recovery.recover(str(path))
+        assert state.clean and state.version == committed.version
+        assert (state.next_lsn, state.last_version) == (5, committed.version)
+
     def test_from_wal_round_trip_matches_live_store(self, tmp_path):
         path = tmp_path / "roundtrip.wal"
         instance = company_instance()

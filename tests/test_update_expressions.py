@@ -1,6 +1,10 @@
 """Update expressions and algebraic methods (Definition 5.4)."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebraic.expression import (
     SELF,
@@ -14,14 +18,18 @@ from repro.algebraic.expression import (
     update_db_schema,
 )
 from repro.algebraic.method import AlgebraicUpdateMethod
+from repro.algebraic.query_order import receivers_from_query
 from repro.core.receiver import Receiver
 from repro.core.signature import MethodSignature
 from repro.graph.instance import Obj
-from repro.graph.schema import SchemaError, drinker_bar_beer_schema
-from repro.objrel.mapping import instance_to_database
+from repro.graph.schema import Schema, SchemaError, drinker_bar_beer_schema
+from repro.objrel.mapping import instance_to_database, property_relation_name
 from repro.relational.algebra import Product, Project, Rel, Rename, Select
+from repro.relational.evaluate import evaluate
 from repro.relational.relation import RelationError
 from repro.workloads.drinkers import figure_1_instance
+from repro.workloads.instances import random_instance, random_receiver
+from repro.workloads.methods import random_positive_method
 
 SIG = MethodSignature(["Drinker", "Bar"])
 MARY = Obj("Drinker", "Mary")
@@ -168,3 +176,63 @@ class TestApplication:
         result = swap.apply(instance, Receiver([MARY]))
         assert result.property_values(MARY, "frequents") == instance.objects_of_class("Bar")
         assert result.property_values(MARY, "likes") == instance.objects_of_class("Beer")
+
+
+# ----------------------------------------------------------------------
+# The evaluator of record against the reference oracle
+# ----------------------------------------------------------------------
+ORACLE_SCHEMA = Schema(
+    ["K0", "K1"],
+    [("K0", "p0", "K1"), ("K0", "p1", "K0"), ("K1", "p2", "K0")],
+)
+
+
+def random_receiver_query(rng, schema, signature):
+    """A random receiver query of scheme ``self arg1 ...``: the product
+    of the signature's classes, sometimes restricted through a property
+    of the receiving class that links ``self`` (and maybe an argument)."""
+    names = [SELF] + [arg_name(i + 1) for i in range(signature.arity)]
+    query = None
+    for name, cls in zip(names, signature):
+        leaf = Rename(Rel(cls), cls, name)
+        query = leaf if query is None else Product(query, leaf)
+    edges = schema.properties_of(signature.receiving_class)
+    if edges and rng.random() < 0.7:
+        edge = rng.choice(edges)
+        query = Select(
+            Product(query, Rel(property_relation_name(schema, edge.label))),
+            SELF,
+            edge.source,
+            True,
+        )
+        for name, cls in zip(names[1:], list(signature)[1:]):
+            if cls == edge.target and rng.random() < 0.5:
+                query = Select(query, name, edge.label, True)
+        query = Project(query, tuple(names))
+    return query
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_engine_evaluation_matches_the_oracle(seed):
+    """``E(I, t)`` through the engine equals :func:`evaluate` over the
+    bound database, and ``Q(I)`` equals it over the unbound one."""
+    rng = random.Random(seed)
+    method = random_positive_method(rng, ORACLE_SCHEMA, n_statements=2)
+    if method is None:
+        return
+    instance = random_instance(
+        rng, ORACLE_SCHEMA, objects_per_class=3, edge_probability=0.5
+    )
+    receiver = random_receiver(rng, instance, method.signature)
+    database = instance_to_database(instance)
+    bound = bind_receiver(database, method.signature, receiver)
+    for label in method.updated_properties:
+        expr = method.expression(label)
+        assert evaluate_update_expression(
+            expr, instance, receiver, method.signature
+        ) == frozenset(row[0] for row in evaluate(expr, bound))
+    query = random_receiver_query(rng, ORACLE_SCHEMA, method.signature)
+    assert receivers_from_query(query, instance) == {
+        Receiver(row) for row in evaluate(query, database)
+    }
